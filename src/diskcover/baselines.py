@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Optional
+from typing import Generator, Optional
 
 import numpy as np
 
@@ -90,136 +90,287 @@ def solve_strip(inst: Instance, cfg: Optional[TrialConfig] = None) -> Solution:
     )
 
 
-def _kmeanspp_init(xy: np.ndarray, p: int, rng: np.random.Generator) -> np.ndarray:
-    """Careful seeding: first center uniform, then squared-distance weighted."""
-    n = len(xy)
-    cents = np.empty((p, 2), dtype=float)
-    cents[0] = xy[int(rng.integers(n))]
-    d2 = ((xy - cents[0]) ** 2).sum(axis=1)
-    for j in range(1, p):
-        total = float(d2.sum())
-        if total <= 0.0:
-            cents[j:] = cents[0]
-            break
-        u = rng.random()
-        idx = int(np.searchsorted(np.cumsum(d2 / total), u, side="right"))
-        cents[j] = xy[min(idx, n - 1)]
-        d2 = np.minimum(d2, ((xy - cents[j]) ** 2).sum(axis=1))
-    return cents
+# Element budget of one lockstep k-means block, which sets how many probes
+# run side by side.  A row probing p clusters on n points costs n * (p + 8)
+# elements: its slices of the two (B, n, p) working arrays (allocated once per
+# solve at the budget size, 384 KiB each) plus about eight (B, n) temporaries.
+# Larger blocks amortise more numpy call overhead but raise peak memory.
+_KMEANS_BLOCK_ELEMS = 49_152
+_KMEANS_ROW_TEMPS = 8
 
 
-def _lloyd_clusters(
-    xy: np.ndarray,
-    p: int,
-    r: float,
-    rng: np.random.Generator,
-    max_iters: int,
-) -> Optional[list[np.ndarray]]:
-    """One k-means run (batch passes, then single-point refinement moves);
-    returns the clusters when every one fits in a radius-r disk, else None.
-    """
-    n = len(xy)
-    cents = _kmeanspp_init(xy, p, rng)
-    labels = None
-    for _ in range(max_iters):
-        d2 = ((xy[:, None, :] - cents[None, :, :]) ** 2).sum(axis=2)
-        new_labels = d2.argmin(axis=1)
-        if labels is not None and np.array_equal(new_labels, labels):
-            break
-        labels = new_labels
-        counts = np.bincount(labels, minlength=p)
-        sx = np.bincount(labels, weights=xy[:, 0], minlength=p)
-        sy = np.bincount(labels, weights=xy[:, 1], minlength=p)
-        nonempty = counts > 0
-        cents[nonempty, 0] = sx[nonempty] / counts[nonempty]
-        cents[nonempty, 1] = sy[nonempty] / counts[nonempty]
-        if not nonempty.all():
-            # Re-seed each empty cluster on the point farthest from its
-            # assigned center, then let the next pass reassign.
-            own = ((xy - cents[labels]) ** 2).sum(axis=1)
-            for j in np.flatnonzero(~nonempty):
-                far = int(own.argmax())
-                cents[j] = xy[far]
-                own[far] = 0.0
-    assert labels is not None
-
-    # Refinement: apply the best single-point move while it lowers the total
-    # within-cluster squared error (sizes reweight the change: a point joining
-    # a cluster of n costs n/(n+1) of its squared distance, leaving refunds
-    # n/(n-1)).  Escapes the plateaus batch passes converge to.
-    labels = labels.copy()
-    counts = np.bincount(labels, minlength=p).astype(float)
-    d2 = ((xy[:, None, :] - cents[None, :, :]) ** 2).sum(axis=2)
-    idx = np.arange(n)
-    for _ in range(3 * n):
-        src_sizes = counts[labels]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            refund = np.where(src_sizes > 1.0, src_sizes / (src_sizes - 1.0), 0.0)
-        gain = refund * d2[idx, labels]
-        cost = (counts / (counts + 1.0))[None, :] * d2
-        delta = cost - gain[:, None]
-        delta[idx, labels] = np.inf
-        delta[src_sizes <= 1.0, :] = np.inf  # never empty a cluster
-        flat = int(np.argmin(delta))
-        i, dst = flat // p, flat % p
-        if delta[i, dst] >= -1e-12:
-            break
-        s = int(labels[i])
-        cents[s] = (counts[s] * cents[s] - xy[i]) / (counts[s] - 1.0)
-        cents[dst] = (counts[dst] * cents[dst] + xy[i]) / (counts[dst] + 1.0)
-        counts[s] -= 1.0
-        counts[dst] += 1.0
-        labels[i] = dst
-        d2[:, s] = ((xy - cents[s]) ** 2).sum(axis=1)
-        d2[:, dst] = ((xy - cents[dst]) ** 2).sum(axis=1)
-
-    bound = r * (1.0 + REL_TOL) + ABS_TOL
-    clusters = []
-    for j in range(p):
-        members = np.flatnonzero(labels == j)
-        if members.size == 0:
-            continue
-        sub = xy[members]
-        # Half the bounding-box extent lower-bounds the enclosing radius.
-        if max(sub.max(axis=0) - sub.min(axis=0)) / 2.0 > bound:
-            return None
-        mec = one_center([(q[0], q[1]) for q in sub])
-        if not within_radius(r, mec.radius):
-            return None
-        clusters.append(members)
-    return clusters
-
-
-def _kmeans_trial(
-    xy: np.ndarray,
+def _bisect_cluster_count(
     n_distinct: int,
-    r: float,
-    rng: np.random.Generator,
-    max_iters: int,
-) -> list[np.ndarray]:
-    # Bisection over the cluster count, treating feasibility as monotone.
-    # One cluster per distinct position is always feasible, hence the cap.
+) -> Generator[int, Optional[np.ndarray], Optional[np.ndarray]]:
+    """One trial's bisection over the cluster count, as a generator.
+
+    Yields each cluster count to probe and is sent back the probe's labels,
+    or None when some cluster does not fit in a radius-r disk; returns the
+    labels of the smallest feasible count found, or None.  Feasibility is
+    treated as monotone; one cluster per distinct position is always
+    feasible, hence the cap.
+    """
     lo, hi = 1, n_distinct
-    best: Optional[tuple[int, list[np.ndarray]]] = None
+    best: Optional[tuple[int, np.ndarray]] = None
     while lo < hi:
         mid = (lo + hi) // 2
-        clusters = _lloyd_clusters(xy, mid, r, rng, max_iters)
-        if clusters is not None:
+        labels = yield mid
+        if labels is not None:
             hi = mid
-            best = (mid, clusters)
+            best = (mid, labels)
         else:
             lo = mid + 1
     if best is None or best[0] != lo:
-        clusters = _lloyd_clusters(xy, lo, r, rng, max_iters)
-        if clusters is not None:
-            best = (lo, clusters)
-    if best is None:
-        # Unreachable in practice: one cluster per distinct position has radius 0.
-        by_pos: dict[tuple[float, float], list[int]] = {}
-        for k, q in enumerate(xy):
-            by_pos.setdefault((q[0], q[1]), []).append(k)
-        best = (len(by_pos), [np.array(v) for v in by_pos.values()])
-    return best[1]
+        labels = yield lo
+        if labels is not None:
+            best = (lo, labels)
+    return None if best is None else best[1]
+
+
+def _sqdist(pts: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Squared distances (m, n) from each of the m centers ``q`` (2, m) to
+    each point of ``pts`` (2, n), as dx*dx + dy*dy."""
+    d = pts[:, None, :] - q[:, :, None]
+    d *= d
+    return d[0] + d[1]
+
+
+def _fill_sqdist(out: np.ndarray, tmp: np.ndarray, pts: np.ndarray, c: np.ndarray) -> None:
+    # out[b, i, j] = squared distance from point i to center j of row b;
+    # centers at +inf (padding) give +inf.
+    np.subtract(pts[0][None, :, None], c[0][:, None, :], out=out)
+    np.multiply(out, out, out=out)
+    np.subtract(pts[1][None, :, None], c[1][:, None, :], out=tmp)
+    np.multiply(tmp, tmp, out=tmp)
+    np.add(out, tmp, out=out)
+
+
+def _seed_lockstep(
+    pts: np.ndarray, ps: np.ndarray, rngs: list[np.random.Generator]
+) -> np.ndarray:
+    """Careful seeding per row: first center uniform, then squared-distance
+    weighted.  Returns the centers (2, B, max p), +inf past a row's own
+    count."""
+    b_rows, n, pm = len(ps), pts.shape[1], int(ps.max())
+    c = np.full((2, b_rows, pm), np.inf)
+    c[:, :, 0] = pts[:, [int(rng.integers(n)) for rng in rngs]]
+    d2 = _sqdist(pts, c[:, :, 0])
+    seeding = ps > 1
+    u = np.zeros(b_rows)
+    with np.errstate(divide="ignore", invalid="ignore"):  # spent rows: 0 / 0
+        for j in range(1, pm):
+            seeding &= ps > j
+            total = d2.sum(axis=1)
+            if total.min() <= 0.0:
+                for b in np.flatnonzero(seeding & (total <= 0.0)):
+                    # Every point sits on a center already: copy the first one.
+                    c[:, b, j : ps[b]] = c[:, b, :1]
+                    seeding[b] = False
+            live = seeding.nonzero()[0]
+            if live.size == 0:
+                break
+            for b in live:
+                u[b] = rngs[b].random()
+            cum = np.cumsum(d2 / total[:, None], axis=1)
+            chosen = pts[:, np.minimum((cum <= u[:, None]).sum(axis=1), n - 1)]
+            c[:, live, j] = chosen[:, live]
+            np.minimum(d2, _sqdist(pts, chosen), out=d2, where=seeding[:, None])
+    return c
+
+
+def _batch_lockstep(
+    pts: np.ndarray,
+    c: np.ndarray,
+    real: np.ndarray,
+    max_iters: int,
+    buf: np.ndarray,
+    tmp_buf: np.ndarray,
+) -> np.ndarray:
+    """Batch passes per row until its labels repeat, at most `max_iters`.
+
+    Updates the centers in place and returns the labels (B, n).  A row whose
+    labels repeat is written back and dropped from the working set.
+    """
+    _, b_rows, pm = c.shape
+    n = pts.shape[1]
+    tiled = np.tile(pts, b_rows)
+    labels = np.zeros((b_rows, n), dtype=np.intp)
+    at = np.arange(b_rows)  # working row -> row
+    lab, wc, wreal = labels, c, real
+    for it in range(max_iters):
+        k = len(at)
+        dist2 = buf[: k * n * pm].reshape(k, n, pm)
+        _fill_sqdist(dist2, tmp_buf[: k * n * pm].reshape(k, n, pm), pts, wc)
+        new_labels = dist2.argmin(axis=2)
+        if it > 0:
+            moving = (new_labels != lab).any(axis=1)
+            if not moving.all():
+                labels[at], c[:, at] = lab, wc
+                keep = np.flatnonzero(moving)
+                if keep.size == 0:
+                    return labels
+                at, new_labels, wc, wreal = at[keep], new_labels[keep], wc[:, keep], wreal[keep]
+                k = keep.size
+        lab = new_labels
+        g = (lab + (np.arange(k) * pm)[:, None]).ravel()
+        counts = np.bincount(g, minlength=k * pm).reshape(k, pm)
+        used = counts > 0
+        for axis in (0, 1):
+            sums = np.bincount(g, weights=tiled[axis, : k * n], minlength=k * pm)
+            wc[axis][used] = sums.reshape(k, pm)[used] / counts[used]
+        empty = wreal & ~used
+        for b in np.flatnonzero(empty.any(axis=1)):
+            # Re-seed each empty cluster on the point farthest from its
+            # assigned center, then let the next pass reassign.
+            gap = pts - wc[:, b, lab[b]]
+            gap *= gap
+            own = gap[0] + gap[1]
+            for j in np.flatnonzero(empty[b]):
+                far = int(own.argmax())
+                wc[:, b, j] = pts[:, far]
+                own[far] = 0.0
+    labels[at], c[:, at] = lab, wc
+    return labels
+
+
+def _refine_lockstep(
+    pts: np.ndarray,
+    labels: np.ndarray,
+    c: np.ndarray,
+    pad: np.ndarray,
+    buf: np.ndarray,
+    tmp_buf: np.ndarray,
+) -> np.ndarray:
+    """Single-point refinement moves per row while one lowers the total
+    within-cluster squared error.
+
+    Sizes reweight the change: a point joining a cluster of n costs n/(n+1)
+    of its squared distance, leaving refunds n/(n-1).  This escapes the
+    plateaus batch passes converge to.  Updates `labels` in place (the
+    centers are left stale) and returns the cluster sizes (B, max p).  Once
+    half the working rows have stopped, they are written back and dropped.
+    """
+    _, b_rows, pm = c.shape
+    n = pts.shape[1]
+    row_size = n * pm
+    offsets = (np.arange(b_rows) * pm)[:, None]
+    counts = np.bincount((labels + offsets).ravel(), minlength=b_rows * pm).astype(float)
+    counts = counts.reshape(b_rows, pm)
+    _fill_sqdist(
+        buf[: b_rows * row_size].reshape(b_rows, n, pm),
+        tmp_buf[: b_rows * row_size].reshape(b_rows, n, pm),
+        pts,
+        c,
+    )
+    at = np.arange(b_rows)  # working row -> row
+    lab, cnt, wc, wpad = labels, counts, c, pad
+    active = np.ones(b_rows, dtype=bool)
+    k = 0  # working-set size the views below were built for
+    for _ in range(3 * n):
+        if 2 * np.count_nonzero(active) <= len(at):
+            # Half the working rows have stopped: write them back, drop them.
+            labels[at], counts[at] = lab, cnt
+            keep = np.flatnonzero(active)
+            for row, old in enumerate(keep):
+                if row != old:
+                    buf[row * row_size : (row + 1) * row_size] = buf[
+                        old * row_size : (old + 1) * row_size
+                    ]
+            at, lab, cnt, wpad = at[keep], lab[keep], cnt[keep], wpad[keep]
+            wc = np.ascontiguousarray(wc[:, keep])  # wc_flat must be a view
+            active = active[keep]
+        if k != len(at):
+            k = len(at)
+            dist2 = buf[: k * row_size].reshape(k, n, pm)
+            work = tmp_buf[: k * row_size].reshape(k, n, pm)
+            dist2_flat, delta_flat = dist2.reshape(-1), work.reshape(-1)
+            delta = work.reshape(k, row_size)
+            cnt_flat, wc_flat = cnt.reshape(-1), wc.reshape(2, -1)
+            offsets = (np.arange(k) * pm)[:, None]
+            first_cell = offsets * n + np.arange(n) * pm  # flat index of (b, i, 0)
+            row_start = np.arange(k) * row_size
+
+        # A singleton refunds nothing, so its moves never lower the error and
+        # no move ever empties a cluster.
+        refund = np.divide(
+            cnt_flat, cnt_flat - 1.0, out=np.zeros_like(cnt_flat), where=cnt_flat > 1.0
+        )
+        own_cell = first_cell + lab
+        gain = refund[lab + offsets] * dist2_flat[own_cell]
+        np.multiply((cnt / (cnt + 1.0) + wpad)[:, None, :], dist2, out=work)
+        np.subtract(work, gain[:, :, None], out=work)
+        delta_flat[own_cell] = np.inf
+        flat = delta.argmin(axis=1)
+        active &= ~(delta_flat[row_start + flat] >= -1e-12)
+        mv = active.nonzero()[0]
+        if mv.size == 0:
+            break
+        i, dst = np.divmod(flat[mv], pm)
+        # Source then destination cluster of each move: the point leaves one
+        # (sign -1) and joins the other (sign +1).
+        rows = np.concatenate((mv, mv))
+        cols = np.concatenate((lab[mv, i], dst))
+        flat_cols = rows * pm + cols
+        sign = np.ones(rows.size)
+        sign[: mv.size] = -1.0
+        size = cnt_flat[flat_cols]
+        moved = pts[:, np.concatenate((i, i))]
+        wc_flat[:, flat_cols] = (size * wc_flat[:, flat_cols] + sign * moved) / (size + sign)
+        cnt_flat[flat_cols] = size + sign
+        lab[mv, i] = dst
+        dist2[rows, :, cols] = _sqdist(pts, wc_flat[:, flat_cols])
+    labels[at], counts[at] = lab, cnt
+    return counts
+
+
+def _lloyd_lockstep(
+    xy: np.ndarray,
+    ps: np.ndarray,
+    r: float,
+    rngs: list[np.random.Generator],
+    max_iters: int,
+    buf: np.ndarray,
+    tmp_buf: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """k-means probes run side by side, one per row: row b clusters into
+    ``ps[b]`` groups drawing from ``rngs[b]``.
+
+    Each row goes through careful seeding, batch passes, then single-point
+    refinement moves, and draws exactly what a lone run would; a row that
+    has converged is frozen.  Center columns beyond a row's own count are
+    padding at +inf, which no point ever picks.  Returns the labels (B, n)
+    and whether each row's clusters all fit in a radius-r disk.
+    """
+    b_rows, pm = len(ps), int(ps.max())
+    pts = np.ascontiguousarray(xy.T)
+    real = np.arange(pm)[None, :] < ps[:, None]
+    c = _seed_lockstep(pts, ps, rngs)
+    labels = _batch_lockstep(pts, c, real, max_iters, buf, tmp_buf)
+    counts = _refine_lockstep(pts, labels, c, np.where(real, 0.0, np.inf), buf, tmp_buf)
+
+    # Feasibility over per-cluster bounding boxes.  Half the larger extent
+    # lower-bounds the enclosing radius (reject); every member lies within
+    # half the diagonal of the box centre (accept).  Only the clusters in
+    # between need an exact enclosing disk.
+    g = (labels + (np.arange(b_rows) * pm)[:, None]).ravel()
+    tiled = np.tile(pts, b_rows)
+    lo = np.full((2, b_rows * pm), np.inf)
+    hi = np.full((2, b_rows * pm), -np.inf)
+    for axis in (0, 1):
+        np.minimum.at(lo[axis], g, tiled[axis])
+        np.maximum.at(hi[axis], g, tiled[axis])
+    ex, ey = (hi - lo).reshape(2, b_rows, pm)
+    used = counts > 0
+    bound = r * (1.0 + REL_TOL) + ABS_TOL
+    feasible = ~(used & (np.maximum(ex, ey) / 2.0 > bound)).any(axis=1)
+    check = used & feasible[:, None] & ~(np.hypot(ex, ey) / 2.0 <= r)
+    for b in np.flatnonzero(check.any(axis=1)):
+        for j in np.flatnonzero(check[b]):
+            mec = one_center([(q[0], q[1]) for q in xy[labels[b] == j]])
+            if not within_radius(r, mec.radius):
+                feasible[b] = False
+                break
+    return labels, feasible
 
 
 def solve_kmeans(inst: Instance, cfg: Optional[TrialConfig] = None) -> Solution:
@@ -230,24 +381,71 @@ def solve_kmeans(inst: Instance, cfg: Optional[TrialConfig] = None) -> Solution:
     fits in a radius-r disk; empty clusters are dropped, so a trial's disk
     count may come in under p.  Final centers are each cluster's
     smallest-enclosing-disk center.
+
+    Trial t draws from PCG64(seed + t).  All trials bisect in lockstep: at
+    each step every unfinished trial probes once, and the probes run side by
+    side in blocks that fit the working buffers.  The output is the same as
+    running the trials one after another.
     """
     cfg = cfg or TrialConfig()
     r = inst.require_radius()
     t0 = time.perf_counter()
     xy = np.asarray(inst.points, dtype=float)
-    n_distinct = len(np.unique(xy, axis=0))
+    # Distinct positions by set, not np.unique, which imports numpy.ma (about
+    # 1.2 MB resident) on first use.
+    n, n_distinct = len(xy), len(set(map(tuple, xy.tolist())))
+    size = min(max(_KMEANS_BLOCK_ELEMS, n * n_distinct), cfg.trials * n * n_distinct)
+    buf, tmp_buf = np.empty(size), np.empty(size)
 
-    best: Optional[list[np.ndarray]] = None
-    for t in range(cfg.trials):
-        rng = np.random.Generator(np.random.PCG64(cfg.seed + t))
-        clusters = _kmeans_trial(xy, n_distinct, r, rng, cfg.max_kmeans_iters)
-        if best is None or len(clusters) < len(best):
-            best = clusters
+    rngs = [np.random.Generator(np.random.PCG64(cfg.seed + t)) for t in range(cfg.trials)]
+    trials = [_bisect_cluster_count(n_distinct) for _ in range(cfg.trials)]
+    probes = {t: next(trial) for t, trial in enumerate(trials)}
+    results: list[Optional[np.ndarray]] = [None] * cfg.trials
+    while probes:
+        # Similar counts share a block, so little of it is padding.
+        live = sorted(probes, key=probes.__getitem__)
+        while live:
+            rows = 1  # `live` is sorted, so a block's last row has its largest count
+            while (
+                rows < len(live)
+                and (rows + 1) * n * (probes[live[rows]] + _KMEANS_ROW_TEMPS)
+                <= _KMEANS_BLOCK_ELEMS
+            ):
+                rows += 1
+            block, live = live[:rows], live[rows:]
+            labels, feasible = _lloyd_lockstep(
+                xy,
+                np.array([probes[t] for t in block]),
+                r,
+                [rngs[t] for t in block],
+                cfg.max_kmeans_iters,
+                buf,
+                tmp_buf,
+            )
+            for row, t in enumerate(block):
+                try:
+                    probes[t] = trials[t].send(labels[row].copy() if feasible[row] else None)
+                except StopIteration as done:
+                    results[t] = done.value
+                    del probes[t]
+
+    best: Optional[np.ndarray] = None
+    best_m = 0
+    for labels_t in results:
+        if labels_t is None:
+            # Unreachable in practice: one cluster per distinct position has
+            # radius 0.
+            first: dict[tuple[float, float], int] = {}
+            labels_t = np.array([first.setdefault((q[0], q[1]), len(first)) for q in xy])
+        m = np.count_nonzero(np.bincount(labels_t))
+        if best is None or m < best_m:
+            best, best_m = labels_t, m
     assert best is not None
 
     centers: list[Point] = []
     newly_all: list[list[int]] = []
-    for members in best:
+    for j in np.flatnonzero(np.bincount(best)):
+        members = np.flatnonzero(best == j)
         mec = one_center([(q[0], q[1]) for q in xy[members]])
         centers.append(mec.center)
         newly_all.append([int(k) for k in members])

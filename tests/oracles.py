@@ -3,7 +3,10 @@
 Nothing here shares code paths with the package's solvers: hulls come from a
 triangle-containment test, enclosing disks from pair/triple enumeration, and
 minimum covers from exhaustive subset search, so each comparison is a genuine
-dual-route check.
+dual-route check.  The one exception is the serial k-means reference at the
+end: it keeps the trial-by-trial loop that the package's lockstep k-means
+replaced, on the same geometry primitives, so that the two must agree bit for
+bit.
 """
 
 from __future__ import annotations
@@ -11,6 +14,10 @@ from __future__ import annotations
 import itertools
 import math
 from typing import Iterable, Optional, Sequence
+
+import numpy as np
+
+from diskcover.geometry import ABS_TOL, REL_TOL, one_center, within_radius
 
 Point = tuple[float, float]
 
@@ -232,3 +239,152 @@ def grid_cover_masks(points: Sequence[Point], r: float, divisions: int = 50) -> 
 def min_grid_cover_size(points: Sequence[Point], r: float, divisions: int = 50) -> int:
     masks = grid_cover_masks(points, r, divisions)
     return min_cover_size_by_enumeration(masks, len(points))
+
+
+# --- Serial k-means reference -------------------------------------------
+
+
+def _kmeanspp_init(xy: np.ndarray, p: int, rng: np.random.Generator) -> np.ndarray:
+    """Careful seeding: first center uniform, then squared-distance weighted."""
+    n = len(xy)
+    cents = np.empty((p, 2), dtype=float)
+    cents[0] = xy[int(rng.integers(n))]
+    d2 = ((xy - cents[0]) ** 2).sum(axis=1)
+    for j in range(1, p):
+        total = float(d2.sum())
+        if total <= 0.0:
+            cents[j:] = cents[0]
+            break
+        u = rng.random()
+        idx = int(np.searchsorted(np.cumsum(d2 / total), u, side="right"))
+        cents[j] = xy[min(idx, n - 1)]
+        d2 = np.minimum(d2, ((xy - cents[j]) ** 2).sum(axis=1))
+    return cents
+
+
+def _lloyd_clusters(
+    xy: np.ndarray,
+    p: int,
+    r: float,
+    rng: np.random.Generator,
+    max_iters: int,
+) -> Optional[list[np.ndarray]]:
+    """One k-means run (batch passes, then single-point refinement moves);
+    returns the clusters when every one fits in a radius-r disk, else None.
+    """
+    n = len(xy)
+    cents = _kmeanspp_init(xy, p, rng)
+    labels = None
+    for _ in range(max_iters):
+        d2 = ((xy[:, None, :] - cents[None, :, :]) ** 2).sum(axis=2)
+        new_labels = d2.argmin(axis=1)
+        if labels is not None and np.array_equal(new_labels, labels):
+            break
+        labels = new_labels
+        counts = np.bincount(labels, minlength=p)
+        sx = np.bincount(labels, weights=xy[:, 0], minlength=p)
+        sy = np.bincount(labels, weights=xy[:, 1], minlength=p)
+        nonempty = counts > 0
+        cents[nonempty, 0] = sx[nonempty] / counts[nonempty]
+        cents[nonempty, 1] = sy[nonempty] / counts[nonempty]
+        if not nonempty.all():
+            # Re-seed each empty cluster on the point farthest from its
+            # assigned center, then let the next pass reassign.
+            own = ((xy - cents[labels]) ** 2).sum(axis=1)
+            for j in np.flatnonzero(~nonempty):
+                far = int(own.argmax())
+                cents[j] = xy[far]
+                own[far] = 0.0
+    assert labels is not None
+
+    # Refinement: apply the best single-point move while it lowers the total
+    # within-cluster squared error (sizes reweight the change: a point joining
+    # a cluster of n costs n/(n+1) of its squared distance, leaving refunds
+    # n/(n-1)).  Escapes the plateaus batch passes converge to.
+    labels = labels.copy()
+    counts = np.bincount(labels, minlength=p).astype(float)
+    d2 = ((xy[:, None, :] - cents[None, :, :]) ** 2).sum(axis=2)
+    idx = np.arange(n)
+    for _ in range(3 * n):
+        src_sizes = counts[labels]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            refund = np.where(src_sizes > 1.0, src_sizes / (src_sizes - 1.0), 0.0)
+        gain = refund * d2[idx, labels]
+        cost = (counts / (counts + 1.0))[None, :] * d2
+        delta = cost - gain[:, None]
+        delta[idx, labels] = np.inf
+        delta[src_sizes <= 1.0, :] = np.inf  # never empty a cluster
+        flat = int(np.argmin(delta))
+        i, dst = flat // p, flat % p
+        if delta[i, dst] >= -1e-12:
+            break
+        s = int(labels[i])
+        cents[s] = (counts[s] * cents[s] - xy[i]) / (counts[s] - 1.0)
+        cents[dst] = (counts[dst] * cents[dst] + xy[i]) / (counts[dst] + 1.0)
+        counts[s] -= 1.0
+        counts[dst] += 1.0
+        labels[i] = dst
+        d2[:, s] = ((xy - cents[s]) ** 2).sum(axis=1)
+        d2[:, dst] = ((xy - cents[dst]) ** 2).sum(axis=1)
+
+    bound = r * (1.0 + REL_TOL) + ABS_TOL
+    clusters = []
+    for j in range(p):
+        members = np.flatnonzero(labels == j)
+        if members.size == 0:
+            continue
+        sub = xy[members]
+        # Half the bounding-box extent lower-bounds the enclosing radius.
+        if max(sub.max(axis=0) - sub.min(axis=0)) / 2.0 > bound:
+            return None
+        mec = one_center([(q[0], q[1]) for q in sub])
+        if not within_radius(r, mec.radius):
+            return None
+        clusters.append(members)
+    return clusters
+
+
+def _kmeans_trial(
+    xy: np.ndarray,
+    n_distinct: int,
+    r: float,
+    rng: np.random.Generator,
+    max_iters: int,
+) -> list[np.ndarray]:
+    # Bisection over the cluster count, treating feasibility as monotone.
+    # One cluster per distinct position is always feasible, hence the cap.
+    lo, hi = 1, n_distinct
+    best: Optional[tuple[int, list[np.ndarray]]] = None
+    while lo < hi:
+        mid = (lo + hi) // 2
+        clusters = _lloyd_clusters(xy, mid, r, rng, max_iters)
+        if clusters is not None:
+            hi = mid
+            best = (mid, clusters)
+        else:
+            lo = mid + 1
+    if best is None or best[0] != lo:
+        clusters = _lloyd_clusters(xy, lo, r, rng, max_iters)
+        if clusters is not None:
+            best = (lo, clusters)
+    if best is None:
+        # Unreachable in practice: one cluster per distinct position has radius 0.
+        by_pos: dict[tuple[float, float], list[int]] = {}
+        for k, q in enumerate(xy):
+            by_pos.setdefault((q[0], q[1]), []).append(k)
+        best = (len(by_pos), [np.array(v) for v in by_pos.values()])
+    return best[1]
+
+
+def kmeans_serial(points: Sequence[Point], r: float, trials: int, seed: int, max_iters: int):
+    """Best of `trials` serial k-means restarts: (centers, newly_covered)."""
+    xy = np.asarray(points, dtype=float)
+    n_distinct = len(np.unique(xy, axis=0))
+    best = None
+    for t in range(trials):
+        rng = np.random.Generator(np.random.PCG64(seed + t))
+        clusters = _kmeans_trial(xy, n_distinct, r, rng, max_iters)
+        if best is None or len(clusters) < len(best):
+            best = clusters
+    centers = [one_center([(q[0], q[1]) for q in xy[m]]).center for m in best]
+    return centers, [[int(k) for k in m] for m in best]

@@ -1,4 +1,6 @@
+import functools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,10 +17,12 @@ from diskcover import (
     solve_spiral,
     solve_strip,
 )
+from diskcover import baselines
 from diskcover.geometry import dist, within_radius
 from diskcover.bench import generate_topology
 
-from conftest import instances
+from conftest import grid_point_lists, instances
+from oracles import kmeans_serial
 
 H = math.sqrt(3.0)  # default strip height factor
 
@@ -153,6 +157,119 @@ class TestKmeans:
     def test_feasible(self, inst):
         sol = solve_kmeans(inst, TrialConfig(trials=2, seed=3))
         assert not solution_violations(inst, sol)
+
+
+coarse = st.integers(min_value=0, max_value=40).map(lambda v: v / 4.0)
+
+
+@st.composite
+def kmeans_cases(draw):
+    """Small instances for the lockstep-vs-serial k-means check: spread
+    points, duplicates of a few positions (so n_distinct, which caps the
+    probed counts, falls well below n), or points on one line."""
+    n = draw(st.integers(min_value=1, max_value=24))
+    kind = draw(st.sampled_from(["spread", "duplicates", "collinear"]))
+    if kind == "spread":
+        pts = draw(st.lists(st.tuples(coarse, coarse), min_size=n, max_size=n))
+    elif kind == "duplicates":
+        base = draw(st.lists(st.tuples(coarse, coarse), min_size=1, max_size=4))
+        pts = draw(st.lists(st.sampled_from(base), min_size=n, max_size=n))
+    else:
+        ts = draw(st.lists(coarse, min_size=n, max_size=n))
+        slope = draw(st.sampled_from([0.0, 0.5, 1.0]))
+        pts = [(t, slope * t) for t in ts]
+    r = draw(st.floats(min_value=0.1, max_value=8.0))
+    return Instance(points=pts, radius=r)
+
+
+def kmeans_with_block(inst, cfg, block):
+    """solve_kmeans with the block budget set so that every block holds
+    exactly one trial (block=1), at least `block` trials, or all of them
+    (None)."""
+    if block is None:
+        budget = 1 << 40
+    elif block == 1:
+        budget = 1
+    else:
+        xy = np.asarray(inst.points, dtype=float)
+        budget = block * len(xy) * (len(np.unique(xy, axis=0)) + baselines._KMEANS_ROW_TEMPS)
+    with mock.patch.object(baselines, "_KMEANS_BLOCK_ELEMS", budget):
+        return solve_kmeans(inst, cfg)
+
+
+@functools.lru_cache(maxsize=None)
+def serial_k80(ratio, max_iters):
+    inst = generate_topology(80, 1.0, 10408, radius=1.0 / ratio)
+    return kmeans_serial(inst.points, inst.radius, 11, 10408, max_iters)
+
+
+class TestKmeansLockstep:
+    """The lockstep k-means must reproduce the serial trial loop exactly."""
+
+    @pytest.mark.parametrize("block", [1, 3, None])
+    @given(
+        inst=kmeans_cases(),
+        trials=st.integers(min_value=1, max_value=12),
+        max_iters=st.sampled_from([1, 2, 100]),
+        seed=st.integers(min_value=0, max_value=2**32),
+    )
+    @settings(max_examples=40)
+    def test_matches_serial_reference(self, block, inst, trials, max_iters, seed):
+        cfg = TrialConfig(trials=trials, seed=seed, max_kmeans_iters=max_iters)
+        sol = kmeans_with_block(inst, cfg, block)
+        centers, newly = kmeans_serial(inst.points, inst.radius, trials, seed, max_iters)
+        assert sol.centers == centers
+        assert sol.newly_covered == newly
+
+    @pytest.mark.parametrize("block", [1, 4, None])
+    @pytest.mark.parametrize("ratio,max_iters", [(2, 1), (6, 100), (10, 100)])
+    def test_matches_serial_reference_at_k80(self, block, ratio, max_iters):
+        # 11 trials: not a multiple of the 4-trial block, and enough rows in
+        # one block for the refinement to drop stopped rows several times.
+        inst = generate_topology(80, 1.0, 10408, radius=1.0 / ratio)
+        cfg = TrialConfig(trials=11, seed=10408, max_kmeans_iters=max_iters)
+        sol = kmeans_with_block(inst, cfg, block)
+        centers, newly = serial_k80(ratio, max_iters)
+        assert sol.centers == centers
+        assert sol.newly_covered == newly
+
+
+class TestBoxAcceptPath:
+    """A cluster whose bounding box has half-diagonal <= r fits in a radius-r
+    disk, so the k-means check may accept it without an enclosing disk."""
+
+    @staticmethod
+    def half_diagonal(pts):
+        xy = np.asarray(pts, dtype=float)
+        ex, ey = xy.max(axis=0) - xy.min(axis=0)
+        return float(np.hypot(ex, ey) / 2.0)
+
+    @given(
+        grid_point_lists(min_size=1, max_size=25),
+        st.sampled_from([1e-12, 1e-6, 1e-3, 1.0, 1e3, 1e6, 1e12]),
+        st.sampled_from([1.0, 1.0 + 1e-12, 1.5]),
+    )
+    @settings(max_examples=200)
+    def test_accepted_cluster_fits(self, pts, scale, slack):
+        pts = [(x * scale, y * scale) for x, y in pts]
+        r = self.half_diagonal(pts) * slack
+        assert within_radius(r, one_center(pts).radius)
+
+    @pytest.mark.parametrize("scale", [1e-12, 1e-6, 1.0, 1e6, 1e12])
+    @pytest.mark.parametrize(
+        "pts",
+        [
+            # Box corners: every corner touches the disk at exactly r.
+            [(0.0, 0.0), (3.0, 0.0), (0.0, 4.0), (3.0, 4.0)],
+            [(-1.0, -1.0), (1.0, 1.0)],
+            [(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)],
+            [(1.0, 1.0)] * 3,
+        ],
+    )
+    def test_boundary_contact_at_exactly_r(self, pts, scale):
+        pts = [(x * scale, y * scale) for x, y in pts]
+        r = self.half_diagonal(pts)
+        assert within_radius(r, one_center(pts).radius)
 
 
 class TestRandom:

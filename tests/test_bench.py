@@ -1,10 +1,13 @@
+import dataclasses
 import json
 import math
+import time
 
 import numpy as np
 import pytest
 
 from diskcover import Campaign, LinkBudget, TrialConfig, coverage_radius, generate_topology
+from diskcover import bench
 from diskcover.bench import (
     RAW_CSV_HEADER,
     aggregate_csv,
@@ -119,6 +122,36 @@ class TestRunCampaign:
         assert report.mean_m("oracle", 5.0) is None
         table = aggregate_csv(report)
         assert ",oracle,mean_M,-" in table
+
+    def test_progress_reported_for_budget_cells(self):
+        lines: list[str] = []
+        report = run_campaign(
+            small_campaign(
+                k=25, algorithms=("oracle",), ratios=[5.0], oracle_node_limit=1
+            ),
+            progress=lines.append,
+        )
+        assert len(lines) == len(report.rows) == 3
+        assert all(line.endswith("oracle: M=unproven") for line in lines)
+
+    def test_runtime_timed_around_the_solve_only(self, monkeypatch):
+        # The solver reports a runtime of zero but takes 50 ms; verification
+        # takes 200 ms.  The row must carry the solve's outside time alone.
+        real_solve, real_verify = bench.solve_spiral, bench.solution_violations
+
+        def slow_solve(inst, seed=0):
+            time.sleep(0.05)
+            return dataclasses.replace(real_solve(inst, seed=seed), runtime=0.0)
+
+        def slow_verify(inst, sol):
+            time.sleep(0.2)
+            return real_verify(inst, sol)
+
+        monkeypatch.setattr(bench, "solve_spiral", slow_solve)
+        monkeypatch.setattr(bench, "solution_violations", slow_verify)
+        report = run_campaign(small_campaign(topologies=1, ratios=[2.0], algorithms=("spiral",)))
+        (row,) = report.rows
+        assert 50.0 <= row.runtime_ms < 200.0
 
     def test_oracle_included_when_budget_allows(self):
         report = run_campaign(
