@@ -1,14 +1,7 @@
 """Minimum-cardinality disk cover: heuristics, exact oracle, and benchmarks."""
 
 from .baselines import TrialConfig, solve_kmeans, solve_random, solve_strip
-from .bench import (
-    Campaign,
-    LinkBudget,
-    coverage_radius,
-    generate_topology,
-    run_campaign,
-    solve_by_name,
-)
+from .bench import Campaign, generate_topology, run_campaign
 from .exact import BudgetExceededError, CandidateDisk, generate_candidates, min_cover
 from .geometry import Disk, Point, convex_hull, covers, dist, one_center
 from .problem import Instance, Solution, is_feasible, solution_violations
@@ -24,13 +17,11 @@ __all__ = [
     "ContractError",
     "Disk",
     "Instance",
-    "LinkBudget",
     "LocalCoverResult",
     "Point",
     "Solution",
     "TrialConfig",
     "convex_hull",
-    "coverage_radius",
     "covers",
     "dist",
     "generate_candidates",
@@ -42,7 +33,6 @@ __all__ = [
     "render_svg",
     "run_campaign",
     "solution_violations",
-    "solve_by_name",
     "solve_kmeans",
     "solve_random",
     "solve_spiral",

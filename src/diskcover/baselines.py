@@ -9,35 +9,31 @@ from typing import Generator, Optional
 
 import numpy as np
 
-from .geometry import ABS_TOL, REL_TOL, Disk, Point, covers, one_center, within_radius
+from .exact import DEFAULT_NODE_LIMIT
+from .geometry import Disk, Point, coverage_bound, covers, one_center, within_radius
 from .problem import Instance, Solution
+
+# Strip height over r: sqrt(3) keeps a midline-centered disk spanning the full
+# strip while retaining horizontal reach at the strip edges.
+STRIP_HEIGHT_FACTOR = math.sqrt(3.0)
 
 
 @dataclass(frozen=True)
 class TrialConfig:
-    """Knobs for the stochastic baselines and the strip geometry.
-
-    Strip height is ``strip_height_factor * r``; the default sqrt(3) keeps a
-    midline-centered disk spanning the full strip while retaining horizontal
-    reach at the strip edges.  Factors above 2 would leave strip corners out
-    of reach, hence the bound.
-    """
+    """Knobs for the stochastic baselines and the oracle's search budget."""
 
     trials: int = 100
-    seed: int = 0
     max_kmeans_iters: int = 100
-    strip_height_factor: float = math.sqrt(3.0)
+    node_limit: int = DEFAULT_NODE_LIMIT
 
     def __post_init__(self) -> None:
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if self.max_kmeans_iters < 1:
             raise ValueError("max_kmeans_iters must be >= 1")
-        if not 0.0 < self.strip_height_factor <= 2.0:
-            raise ValueError("strip_height_factor must be in (0, 2]")
 
 
-def solve_strip(inst: Instance, cfg: Optional[TrialConfig] = None) -> Solution:
+def solve_strip(inst: Instance, seed: int = 0) -> Solution:
     """Greedy left-to-right cover of horizontal strips, one strip at a time.
 
     Strip midlines sit at ``min_y + i*h`` (the bottom-most point lies on the
@@ -47,14 +43,13 @@ def solve_strip(inst: Instance, cfg: Optional[TrialConfig] = None) -> Solution:
     still fits in one radius-r disk, that group's smallest enclosing disk is
     placed, and every strip point it reaches is covered by it.  Points in
     other strips are never considered by a disk, which is the strip scheme's
-    defining restriction.  Fully deterministic.
+    defining restriction.  Fully deterministic; `seed` is only recorded.
     """
-    cfg = cfg or TrialConfig()
     r = inst.require_radius()
     pts = inst.points
     t0 = time.perf_counter()
 
-    h = cfg.strip_height_factor * r
+    h = STRIP_HEIGHT_FACTOR * r
     min_y = min(p[1] for p in pts)
     strips: dict[int, list[int]] = {}
     for k, p in enumerate(pts):
@@ -83,7 +78,7 @@ def solve_strip(inst: Instance, cfg: Optional[TrialConfig] = None) -> Solution:
 
     return Solution(
         algorithm="strip",
-        seed=cfg.seed,
+        seed=seed,
         centers=centers,
         newly_covered=newly_all,
         runtime=time.perf_counter() - t0,
@@ -361,7 +356,7 @@ def _lloyd_lockstep(
         np.maximum.at(hi[axis], g, tiled[axis])
     ex, ey = (hi - lo).reshape(2, b_rows, pm)
     used = counts > 0
-    bound = r * (1.0 + REL_TOL) + ABS_TOL
+    bound = coverage_bound(r)
     feasible = ~(used & (np.maximum(ex, ey) / 2.0 > bound)).any(axis=1)
     check = used & feasible[:, None] & ~(np.hypot(ex, ey) / 2.0 <= r)
     for b in np.flatnonzero(check.any(axis=1)):
@@ -373,7 +368,7 @@ def _lloyd_lockstep(
     return labels, feasible
 
 
-def solve_kmeans(inst: Instance, cfg: Optional[TrialConfig] = None) -> Solution:
+def solve_kmeans(inst: Instance, seed: int = 0, cfg: Optional[TrialConfig] = None) -> Solution:
     """Best of `trials` k-means partitions, bisecting the cluster count per trial.
 
     A trial runs seeded k-means (careful init, batch passes, single-point
@@ -397,7 +392,7 @@ def solve_kmeans(inst: Instance, cfg: Optional[TrialConfig] = None) -> Solution:
     size = min(max(_KMEANS_BLOCK_ELEMS, n * n_distinct), cfg.trials * n * n_distinct)
     buf, tmp_buf = np.empty(size), np.empty(size)
 
-    rngs = [np.random.Generator(np.random.PCG64(cfg.seed + t)) for t in range(cfg.trials)]
+    rngs = [np.random.Generator(np.random.PCG64(seed + t)) for t in range(cfg.trials)]
     trials = [_bisect_cluster_count(n_distinct) for _ in range(cfg.trials)]
     probes = {t: next(trial) for t, trial in enumerate(trials)}
     results: list[Optional[np.ndarray]] = [None] * cfg.trials
@@ -452,26 +447,26 @@ def solve_kmeans(inst: Instance, cfg: Optional[TrialConfig] = None) -> Solution:
 
     return Solution(
         algorithm="kmeans",
-        seed=cfg.seed,
+        seed=seed,
         centers=centers,
         newly_covered=newly_all,
         runtime=time.perf_counter() - t0,
     )
 
 
-def solve_random(inst: Instance, cfg: Optional[TrialConfig] = None) -> Solution:
+def solve_random(inst: Instance, seed: int = 0, cfg: Optional[TrialConfig] = None) -> Solution:
     """Best of `trials` passes that stack disks on uniformly drawn uncovered points."""
     cfg = cfg or TrialConfig()
     r = inst.require_radius()
     t0 = time.perf_counter()
     xy = np.asarray(inst.points, dtype=float)
     k_total = len(xy)
-    bound = r * (1.0 + REL_TOL) + ABS_TOL
+    bound = coverage_bound(r)
 
     best_centers: Optional[list[Point]] = None
     best_newly: Optional[list[list[int]]] = None
     for t in range(cfg.trials):
-        rng = np.random.Generator(np.random.PCG64(cfg.seed + t))
+        rng = np.random.Generator(np.random.PCG64(seed + t))
         alive = np.ones(k_total, dtype=bool)
         centers: list[Point] = []
         newly_all: list[list[int]] = []
@@ -491,7 +486,7 @@ def solve_random(inst: Instance, cfg: Optional[TrialConfig] = None) -> Solution:
 
     return Solution(
         algorithm="random",
-        seed=cfg.seed,
+        seed=seed,
         centers=best_centers,
         newly_covered=best_newly,
         runtime=time.perf_counter() - t0,

@@ -1,17 +1,17 @@
-"""Seeded topologies, link-budget radius, and the benchmark campaign harness."""
+"""Seeded topologies, the solver table, and the benchmark campaign harness."""
 
 from __future__ import annotations
 
 import json
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .baselines import TrialConfig, solve_kmeans, solve_random, solve_strip
-from .exact import DEFAULT_NODE_LIMIT, BudgetExceededError, min_cover
+from .exact import BudgetExceededError, min_cover
 from .problem import Instance, Solution, solution_violations
 from .spiral import solve_spiral
 
@@ -19,7 +19,18 @@ from .spiral import solve_spiral
 # is recorded in every report so instances can be regenerated elsewhere.
 GENERATOR_NAME = "pcg64"
 
-ALGORITHMS = ("spiral", "strip", "kmeans", "random", "oracle")
+# Every solver behind one signature, (instance, seed, config) -> Solution.
+# Entries look their solver up in this module when called, so a solver
+# replaced here (to trace or to test it) is the one that runs.
+SOLVERS: dict[str, Callable[[Instance, int, TrialConfig], Solution]] = {
+    "spiral": lambda inst, seed, cfg: solve_spiral(inst, seed),
+    "strip": lambda inst, seed, cfg: solve_strip(inst, seed),
+    "kmeans": lambda inst, seed, cfg: solve_kmeans(inst, seed, cfg),
+    "random": lambda inst, seed, cfg: solve_random(inst, seed, cfg),
+    "oracle": lambda inst, seed, cfg: min_cover(inst, node_limit=cfg.node_limit),
+}
+
+ALGORITHMS = tuple(SOLVERS)
 
 RAW_CSV_HEADER = "algorithm,k,ratio,topology_seed,M,runtime_ms"
 
@@ -40,42 +51,6 @@ def generate_topology(k: int, side: float, seed: int, radius: Optional[float] = 
     return Instance(points=points, radius=radius, region_side=side)
 
 
-@dataclass(frozen=True)
-class LinkBudget:
-    """Free-space link parameters that imply a ground coverage radius.
-
-    ``reference_gain`` is the channel power gain at 1 km; the received SNR at
-    slant distance d is ``transmit_power_over_noise * reference_gain / d**2``.
-    """
-
-    altitude: float
-    transmit_power_over_noise: float
-    reference_gain: float
-    snr_min: float
-
-    def __post_init__(self) -> None:
-        for name in ("altitude", "transmit_power_over_noise", "reference_gain", "snr_min"):
-            v = getattr(self, name)
-            if not (math.isfinite(v) and v > 0):
-                raise ValueError(f"{name} must be finite and positive")
-
-
-def coverage_radius(lb: LinkBudget) -> float:
-    """Ground projection of the maximum slant range meeting the SNR threshold.
-
-    Raises ValueError when the budget cannot reach the ground at all (maximum
-    slant range below the altitude).
-    """
-    slant2 = lb.transmit_power_over_noise * lb.reference_gain / lb.snr_min
-    h2 = lb.altitude * lb.altitude
-    if slant2 < h2:
-        raise ValueError(
-            f"infeasible link budget: max slant range {math.sqrt(slant2):.6g} "
-            f"below altitude {lb.altitude:.6g}"
-        )
-    return math.sqrt(slant2 - h2)
-
-
 @dataclass
 class Campaign:
     """One benchmark sweep: K points in a side-D square, across D/r ratios."""
@@ -87,7 +62,6 @@ class Campaign:
     base_seed: int = 0
     algorithms: Sequence[str] = ("spiral", "strip", "kmeans", "random")
     trials: TrialConfig = field(default_factory=TrialConfig)
-    oracle_node_limit: int = DEFAULT_NODE_LIMIT
 
     def __post_init__(self) -> None:
         if self.k < 1:
@@ -135,33 +109,6 @@ class BenchReport:
         return sum(r.runtime_ms for r in rows) / len(rows)
 
 
-def _dispatch(
-    algorithm: str, inst: Instance, seed: int, trials: TrialConfig, node_limit: int
-) -> Solution:
-    if algorithm == "spiral":
-        return solve_spiral(inst, seed=seed)
-    if algorithm == "strip":
-        return solve_strip(inst, replace(trials, seed=seed))
-    if algorithm == "kmeans":
-        return solve_kmeans(inst, replace(trials, seed=seed))
-    if algorithm == "random":
-        return solve_random(inst, replace(trials, seed=seed))
-    if algorithm == "oracle":
-        return min_cover(inst, node_limit=node_limit)
-    raise ValueError(f"unknown algorithm: {algorithm}")
-
-
-def solve_by_name(
-    algorithm: str,
-    inst: Instance,
-    seed: int = 0,
-    trials: Optional[TrialConfig] = None,
-    node_limit: int = DEFAULT_NODE_LIMIT,
-) -> Solution:
-    """Run one named algorithm on an instance (shared by bench and the CLI)."""
-    return _dispatch(algorithm, inst, seed, trials or TrialConfig(), node_limit)
-
-
 def run_campaign(c: Campaign, progress: Optional[Callable[[str], None]] = None) -> BenchReport:
     """Execute the sweep: every ratio x topology x algorithm cell.
 
@@ -181,9 +128,7 @@ def run_campaign(c: Campaign, progress: Optional[Callable[[str], None]] = None) 
             for algorithm in c.algorithms:
                 start = time.perf_counter()
                 try:
-                    sol: Optional[Solution] = _dispatch(
-                        algorithm, inst, seed, c.trials, c.oracle_node_limit
-                    )
+                    sol: Optional[Solution] = SOLVERS[algorithm](inst, seed, c.trials)
                 except BudgetExceededError:
                     sol = None
                 runtime_ms = (time.perf_counter() - start) * 1000.0

@@ -10,13 +10,13 @@ from typing import Optional, Sequence
 from .baselines import TrialConfig
 from .bench import (
     ALGORITHMS,
+    SOLVERS,
     Campaign,
     aggregate_csv,
     generate_topology,
     raw_csv,
     report_json,
     run_campaign,
-    solve_by_name,
 )
 from .exact import DEFAULT_NODE_LIMIT, BudgetExceededError
 from .files import SchemaError, emit_instance, emit_solution, parse_instance
@@ -56,11 +56,6 @@ def build_parser() -> _Parser:
     solve.add_argument("--seed", type=int, default=0)
     solve.add_argument("--trials", type=int, default=None, help="kmeans/random restarts")
     solve.add_argument(
-        "--deterministic-start",
-        action="store_true",
-        help="spiral only: anchor the first disk at the bottom-most hull point",
-    )
-    solve.add_argument(
         "--node-limit",
         type=int,
         default=DEFAULT_NODE_LIMIT,
@@ -69,7 +64,7 @@ def build_parser() -> _Parser:
     solve.add_argument("--output", default=None, help="solution file (default: stdout)")
     solve.add_argument("--svg", default=None, help="also render the placement to this file")
 
-    bench = sub.add_parser("bench", help="run a benchmark campaign")
+    bench = sub.add_parser("bench", help="run a benchmark campaign; prints the aggregate table")
     bench.add_argument("--k", type=int, required=True)
     bench.add_argument("--ratios", required=True, help="comma-separated D/r values, e.g. 2,4,6")
     bench.add_argument("--topologies", type=int, default=5)
@@ -110,8 +105,6 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 def _cmd_solve(args: argparse.Namespace) -> int:
     if args.trials is not None and args.algo not in ("kmeans", "random"):
         raise UsageError("--trials only applies to kmeans and random")
-    if args.deterministic_start and args.algo != "spiral":
-        raise UsageError("--deterministic-start only applies to spiral")
     if args.trials is not None and args.trials < 1:
         raise UsageError("--trials must be >= 1")
     if args.radius is not None and not args.radius > 0:
@@ -121,15 +114,8 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     if args.radius is not None:
         inst = inst.with_radius(args.radius)
 
-    if args.algo == "spiral":
-        from .spiral import solve_spiral
-
-        sol = solve_spiral(inst, seed=args.seed, deterministic_start=args.deterministic_start)
-    else:
-        trials = TrialConfig(trials=args.trials or 100, seed=args.seed)
-        sol = solve_by_name(
-            args.algo, inst, seed=args.seed, trials=trials, node_limit=args.node_limit
-        )
+    cfg = TrialConfig(trials=args.trials or 100, node_limit=args.node_limit)
+    sol = SOLVERS[args.algo](inst, args.seed, cfg)
 
     problems = solution_violations(inst, sol)
     if problems:
@@ -181,6 +167,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         (out / "aggregate.csv").write_text(aggregate_csv(report))
     else:
         (out / "report.json").write_text(report_json(report))
+    sys.stdout.write(aggregate_csv(report))
     return EXIT_OK
 
 

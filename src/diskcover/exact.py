@@ -13,7 +13,7 @@ import time
 from dataclasses import dataclass
 from typing import Optional
 
-from .geometry import ABS_TOL, REL_TOL, Disk, Point, covers, dist
+from .geometry import Disk, Point, coverage_bound, covers, dist
 from .problem import Instance, Solution
 
 DEFAULT_NODE_LIMIT = 10_000_000
@@ -52,7 +52,7 @@ def generate_candidates(inst: Instance, prune: bool = True) -> list[CandidateDis
     for p in pts:
         cands.append(CandidateDisk(p, coverage_of(p)))
 
-    pair_bound = 2.0 * (r * (1.0 + REL_TOL) + ABS_TOL)
+    pair_bound = 2.0 * coverage_bound(r)
     for i in range(k_total):
         xi, yi = pts[i]
         for j in range(i + 1, k_total):

@@ -29,9 +29,14 @@ def dist(a: Point, b: Point) -> float:
     return math.hypot(a[0] - b[0], a[1] - b[1])
 
 
+def coverage_bound(radius: float) -> float:
+    """Largest distance that still counts as within `radius` (the shared slack)."""
+    return radius * (1.0 + REL_TOL) + ABS_TOL
+
+
 def within_radius(radius: float, d: float) -> bool:
     """Tolerant radius comparison: d <= radius up to the shared slack."""
-    return d <= radius * (1.0 + REL_TOL) + ABS_TOL
+    return d <= coverage_bound(radius)
 
 
 def covers(d: Disk, p: Point) -> bool:

@@ -13,7 +13,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .geometry import Disk, Point, convex_hull, covers, dist, one_center, within_radius
+from .geometry import Disk, Point, convex_hull, coverage_bound, covers, dist, one_center
 from .problem import Instance, Solution
 
 
@@ -70,24 +70,23 @@ def local_cover(
         raise ContractError("sec set contains repeated indices")
     if set(covered) & set(pending):
         raise ContractError("prio and sec sets overlap")
-    # Contract checks run at twice the coverage slack: a committed set built
-    # from tolerant coverage tests can sit one rounding step past a single
-    # slack, and that must not read as a caller error.
-    loose = 2.0 * (r * 1e-9 + 1e-12)
-    if one_center([pts[k] for k in covered]).radius > r + loose:
+    bound = coverage_bound(r)
+    if one_center([pts[k] for k in covered]).radius > bound:
         raise ContractError("prio set is not coverable by a single radius-r disk")
     loc = (float(u[0]), float(u[1]))
-    if any(dist(loc, pts[k]) > r + loose for k in covered):
+    if any(dist(loc, pts[k]) > bound for k in covered):
         raise ContractError("starting location does not cover the prio set")
 
-    two_r = 2.0 * r
+    # A candidate farther than pair_bound from a committed point can never
+    # share its disk: the pair's enclosing radius, half their distance,
+    # already fails the coverage rule.  The oracle pairs points the same way.
+    pair_bound = 2.0 * bound
 
     def keep_near(candidates: list[int], anchors: Sequence[int]) -> list[int]:
-        # A candidate beyond 2r of any committed point can never share its disk.
         kept = []
         for k in candidates:
             pk = pts[k]
-            if all(within_radius(two_r, dist(pk, pts[a])) for a in anchors):
+            if all(dist(pk, pts[a]) <= pair_bound for a in anchors):
                 kept.append(k)
         return kept
 
@@ -104,7 +103,7 @@ def local_cover(
                 break
         k1 = min(pending, key=lambda k: (dist(loc, pts[k]), k))
         trial = one_center([pts[k] for k in covered] + [pts[k1]])
-        if not within_radius(r, trial.radius):
+        if trial.radius > bound:
             break
         loc = trial.center
         covered.append(k1)

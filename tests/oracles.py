@@ -17,7 +17,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from diskcover.geometry import ABS_TOL, REL_TOL, one_center, within_radius
+from diskcover.geometry import coverage_bound, one_center, within_radius
 
 Point = tuple[float, float]
 
@@ -327,7 +327,7 @@ def _lloyd_clusters(
         d2[:, s] = ((xy - cents[s]) ** 2).sum(axis=1)
         d2[:, dst] = ((xy - cents[dst]) ** 2).sum(axis=1)
 
-    bound = r * (1.0 + REL_TOL) + ABS_TOL
+    bound = coverage_bound(r)
     clusters = []
     for j in range(p):
         members = np.flatnonzero(labels == j)

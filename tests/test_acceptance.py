@@ -94,11 +94,11 @@ def k80_counts():
                 if algo == "spiral":
                     sol = solve_spiral(inst, seed=seed)
                 elif algo == "strip":
-                    sol = solve_strip(inst, TrialConfig(seed=seed))
+                    sol = solve_strip(inst, seed)
                 elif algo == "kmeans":
-                    sol = solve_kmeans(inst, TrialConfig(trials=100, seed=seed))
+                    sol = solve_kmeans(inst, seed, TrialConfig(trials=100))
                 else:
-                    sol = solve_random(inst, TrialConfig(trials=100, seed=seed))
+                    sol = solve_random(inst, seed, TrialConfig(trials=100))
                 assert not solution_violations(inst, sol)
                 ms.append(sol.m)
             counts[(algo, ratio)] = ms
@@ -257,13 +257,13 @@ class TestCriterion7Invariants:
     @given(instances(max_size=16), st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=25)
     def test_every_algorithm_feasible_with_progress(self, inst, seed):
-        cfg = TrialConfig(trials=3, seed=seed)
+        cfg = TrialConfig(trials=3)
         sols = [
             solve_spiral(inst, seed=seed),
             solve_spiral(inst, seed=seed, deterministic_start=False),
-            solve_strip(inst, cfg),
-            solve_kmeans(inst, cfg),
-            solve_random(inst, cfg),
+            solve_strip(inst, seed),
+            solve_kmeans(inst, seed, cfg),
+            solve_random(inst, seed, cfg),
             min_cover(inst),
         ]
         for sol in sols:

@@ -18,13 +18,14 @@ from diskcover import (
     solve_strip,
 )
 from diskcover import baselines
+from diskcover.exact import DEFAULT_NODE_LIMIT
 from diskcover.geometry import dist, within_radius
 from diskcover.bench import generate_topology
 
 from conftest import grid_point_lists, instances
 from oracles import kmeans_serial
 
-H = math.sqrt(3.0)  # default strip height factor
+H = baselines.STRIP_HEIGHT_FACTOR
 
 
 class TestTrialConfig:
@@ -32,17 +33,9 @@ class TestTrialConfig:
         cfg = TrialConfig()
         assert cfg.trials == 100
         assert cfg.max_kmeans_iters == 100
-        assert cfg.strip_height_factor == pytest.approx(math.sqrt(3.0))
+        assert cfg.node_limit == DEFAULT_NODE_LIMIT
 
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"trials": 0},
-            {"max_kmeans_iters": 0},
-            {"strip_height_factor": 0.0},
-            {"strip_height_factor": 2.5},
-        ],
-    )
+    @pytest.mark.parametrize("kwargs", [{"trials": 0}, {"max_kmeans_iters": 0}])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
             TrialConfig(**kwargs)
@@ -110,17 +103,17 @@ class TestStrip:
 class TestKmeans:
     def test_single_disk_instance(self):
         inst = Instance(points=[(0.0, 0.0), (0.5, 0.0), (0.0, 0.4)], radius=1.0)
-        sol = solve_kmeans(inst, TrialConfig(trials=3, seed=0))
+        sol = solve_kmeans(inst, 0, TrialConfig(trials=3))
         assert sol.m == 1
 
     def test_two_far_points(self):
         inst = Instance(points=[(0.0, 0.0), (5.0, 0.0)], radius=1.0)
-        sol = solve_kmeans(inst, TrialConfig(trials=3, seed=0))
+        sol = solve_kmeans(inst, 0, TrialConfig(trials=3))
         assert sol.m == 2
 
     def test_centers_are_cluster_enclosing_centers(self):
         inst = generate_topology(30, 2.0, seed=5, radius=0.6)
-        sol = solve_kmeans(inst, TrialConfig(trials=5, seed=5))
+        sol = solve_kmeans(inst, 5, TrialConfig(trials=5))
         assert not solution_violations(inst, sol)
         for center, group in zip(sol.centers, sol.newly_covered):
             mec = one_center([inst.points[k] for k in group])
@@ -129,33 +122,33 @@ class TestKmeans:
 
     def test_partition(self):
         inst = generate_topology(25, 2.0, seed=6, radius=0.5)
-        sol = solve_kmeans(inst, TrialConfig(trials=5, seed=6))
+        sol = solve_kmeans(inst, 6, TrialConfig(trials=5))
         seen = sorted(k for group in sol.newly_covered for k in group)
         assert seen == list(range(inst.k))
 
     def test_deterministic_given_seed(self):
         inst = generate_topology(25, 2.0, seed=7, radius=0.5)
-        a = solve_kmeans(inst, TrialConfig(trials=5, seed=7))
-        b = solve_kmeans(inst, TrialConfig(trials=5, seed=7))
+        a = solve_kmeans(inst, 7, TrialConfig(trials=5))
+        b = solve_kmeans(inst, 7, TrialConfig(trials=5))
         assert a.centers == b.centers
 
     def test_handles_duplicate_points(self):
         inst = Instance(points=[(0.0, 0.0)] * 4 + [(3.0, 0.0)] * 3, radius=0.5)
-        sol = solve_kmeans(inst, TrialConfig(trials=2, seed=0))
+        sol = solve_kmeans(inst, 0, TrialConfig(trials=2))
         assert sol.m == 2
         assert not solution_violations(inst, sol)
 
     def test_best_of_trials_monotone(self):
         inst = generate_topology(30, 2.0, seed=15, radius=0.35)
         ms = [
-            solve_kmeans(inst, TrialConfig(trials=t, seed=15)).m for t in (1, 2, 4, 8)
+            solve_kmeans(inst, 15, TrialConfig(trials=t)).m for t in (1, 2, 4, 8)
         ]
         assert all(a >= b for a, b in zip(ms, ms[1:]))
 
     @given(instances(max_size=20))
     @settings(max_examples=20)
     def test_feasible(self, inst):
-        sol = solve_kmeans(inst, TrialConfig(trials=2, seed=3))
+        sol = solve_kmeans(inst, 3, TrialConfig(trials=2))
         assert not solution_violations(inst, sol)
 
 
@@ -182,7 +175,7 @@ def kmeans_cases(draw):
     return Instance(points=pts, radius=r)
 
 
-def kmeans_with_block(inst, cfg, block):
+def kmeans_with_block(inst, seed, cfg, block):
     """solve_kmeans with the block budget set so that every block holds
     exactly one trial (block=1), at least `block` trials, or all of them
     (None)."""
@@ -194,7 +187,7 @@ def kmeans_with_block(inst, cfg, block):
         xy = np.asarray(inst.points, dtype=float)
         budget = block * len(xy) * (len(np.unique(xy, axis=0)) + baselines._KMEANS_ROW_TEMPS)
     with mock.patch.object(baselines, "_KMEANS_BLOCK_ELEMS", budget):
-        return solve_kmeans(inst, cfg)
+        return solve_kmeans(inst, seed, cfg)
 
 
 @functools.lru_cache(maxsize=None)
@@ -215,8 +208,8 @@ class TestKmeansLockstep:
     )
     @settings(max_examples=40)
     def test_matches_serial_reference(self, block, inst, trials, max_iters, seed):
-        cfg = TrialConfig(trials=trials, seed=seed, max_kmeans_iters=max_iters)
-        sol = kmeans_with_block(inst, cfg, block)
+        cfg = TrialConfig(trials=trials, max_kmeans_iters=max_iters)
+        sol = kmeans_with_block(inst, seed, cfg, block)
         centers, newly = kmeans_serial(inst.points, inst.radius, trials, seed, max_iters)
         assert sol.centers == centers
         assert sol.newly_covered == newly
@@ -227,8 +220,8 @@ class TestKmeansLockstep:
         # 11 trials: not a multiple of the 4-trial block, and enough rows in
         # one block for the refinement to drop stopped rows several times.
         inst = generate_topology(80, 1.0, 10408, radius=1.0 / ratio)
-        cfg = TrialConfig(trials=11, seed=10408, max_kmeans_iters=max_iters)
-        sol = kmeans_with_block(inst, cfg, block)
+        cfg = TrialConfig(trials=11, max_kmeans_iters=max_iters)
+        sol = kmeans_with_block(inst, 10408, cfg, block)
         centers, newly = serial_k80(ratio, max_iters)
         assert sol.centers == centers
         assert sol.newly_covered == newly
@@ -275,32 +268,32 @@ class TestBoxAcceptPath:
 class TestRandom:
     def test_single_point(self):
         inst = Instance(points=[(1.0, 1.0)], radius=0.5)
-        sol = solve_random(inst, TrialConfig(trials=2, seed=0))
+        sol = solve_random(inst, 0, TrialConfig(trials=2))
         assert sol.m == 1
         assert sol.centers[0] == (1.0, 1.0)
 
     def test_midrange_pair_always_needs_two(self):
         # Centers sit on points, so a pair 1.5 r apart can never share a disk.
         inst = Instance(points=[(0.0, 0.0), (1.5, 0.0)], radius=1.0)
-        sol = solve_random(inst, TrialConfig(trials=10, seed=1))
+        sol = solve_random(inst, 1, TrialConfig(trials=10))
         assert sol.m == 2
 
     def test_centers_are_points(self):
         inst = generate_topology(30, 2.0, seed=9, radius=0.4)
-        sol = solve_random(inst, TrialConfig(trials=4, seed=9))
+        sol = solve_random(inst, 9, TrialConfig(trials=4))
         assert not solution_violations(inst, sol)
         assert set(sol.centers) <= set(inst.points)
 
     def test_best_of_trials_monotone(self):
         inst = generate_topology(50, 3.0, seed=10, radius=0.5)
         ms = [
-            solve_random(inst, TrialConfig(trials=t, seed=10)).m for t in (1, 2, 5, 10, 20)
+            solve_random(inst, 10, TrialConfig(trials=t)).m for t in (1, 2, 5, 10, 20)
         ]
         assert all(a >= b for a, b in zip(ms, ms[1:]))
 
     @given(instances(max_size=25), st.integers(min_value=0, max_value=1000))
     @settings(max_examples=30)
     def test_feasible_and_bounded(self, inst, seed):
-        sol = solve_random(inst, TrialConfig(trials=2, seed=seed))
+        sol = solve_random(inst, seed, TrialConfig(trials=2))
         assert not solution_violations(inst, sol)
         assert sol.m <= inst.k

@@ -1,14 +1,15 @@
 import dataclasses
 import json
-import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from diskcover import Campaign, LinkBudget, TrialConfig, coverage_radius, generate_topology
+from diskcover import Campaign, TrialConfig, generate_topology
 from diskcover import bench
 from diskcover.bench import (
+    ALGORITHMS,
     RAW_CSV_HEADER,
     aggregate_csv,
     raw_csv,
@@ -48,25 +49,7 @@ class TestGenerateTopology:
         with pytest.raises(ValueError):
             generate_topology(5, -1.0, seed=0)
 
-
-class TestCoverageRadius:
-    def test_pythagorean_projection(self):
-        # Max slant range 2 at altitude 1 projects to sqrt(3) on the ground.
-        lb = LinkBudget(altitude=1.0, transmit_power_over_noise=4.0, reference_gain=1.0, snr_min=1.0)
-        assert coverage_radius(lb) == pytest.approx(math.sqrt(3.0), abs=1e-12)
-
-    def test_boundary_gives_zero(self):
-        lb = LinkBudget(altitude=2.0, transmit_power_over_noise=4.0, reference_gain=1.0, snr_min=1.0)
-        assert coverage_radius(lb) == 0.0
-
-    def test_infeasible_budget_raises(self):
-        lb = LinkBudget(altitude=3.0, transmit_power_over_noise=4.0, reference_gain=1.0, snr_min=1.0)
-        with pytest.raises(ValueError):
-            coverage_radius(lb)
-
-    def test_rejects_nonpositive_fields(self):
-        with pytest.raises(ValueError):
-            LinkBudget(altitude=0.0, transmit_power_over_noise=1.0, reference_gain=1.0, snr_min=1.0)
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def small_campaign(**overrides):
@@ -115,7 +98,7 @@ class TestRunCampaign:
     def test_oracle_budget_becomes_marked_cell(self):
         report = run_campaign(
             small_campaign(
-                k=25, algorithms=("oracle",), ratios=[5.0], oracle_node_limit=1
+                k=25, algorithms=("oracle",), ratios=[5.0], trials=TrialConfig(node_limit=1)
             )
         )
         assert all(r.m is None for r in report.rows)
@@ -127,7 +110,7 @@ class TestRunCampaign:
         lines: list[str] = []
         report = run_campaign(
             small_campaign(
-                k=25, algorithms=("oracle",), ratios=[5.0], oracle_node_limit=1
+                k=25, algorithms=("oracle",), ratios=[5.0], trials=TrialConfig(node_limit=1)
             ),
             progress=lines.append,
         )
@@ -159,6 +142,32 @@ class TestRunCampaign:
         )
         for ratio in report.ratios:
             assert report.mean_m("oracle", ratio) <= report.mean_m("spiral", ratio)
+
+
+class TestTracerHooks:
+    def test_tracer_sees_every_solver(self, monkeypatch):
+        # The benchmark's tracer wraps solver names in diskcover.bench.  A
+        # solver table that held the functions themselves would bypass the
+        # wrappers and leave the per-layer metrics at zero.
+        monkeypatch.syspath_prepend(str(PERFBENCH))
+        import tracer
+
+        assert tracer.patched_attributes() == []
+        t = tracer.Tracer()
+        t.install()
+        try:
+            run_campaign(small_campaign(topologies=1, ratios=[3.0], algorithms=ALGORITHMS))
+        finally:
+            t.restore()
+        assert tracer.patched_attributes() == []
+        recorded = {span[0] for span in t.spans}
+        assert {
+            "spiral.solve_spiral",
+            "baselines.solve_strip",
+            "baselines.solve_kmeans",
+            "baselines.solve_random",
+            "exact.min_cover",
+        } <= recorded
 
 
 class TestReportFormats:

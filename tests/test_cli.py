@@ -4,8 +4,10 @@ import sys
 
 import pytest
 
+from diskcover.baselines import TrialConfig
+from diskcover.bench import ALGORITHMS, SOLVERS, Campaign, run_campaign
 from diskcover.cli import EXIT_BUDGET, EXIT_IO, EXIT_OK, EXIT_USAGE, main
-from diskcover.files import parse_instance, parse_solution
+from diskcover.files import emit_solution, parse_instance, parse_solution
 from diskcover.problem import solution_violations
 
 
@@ -51,8 +53,7 @@ class TestSolve:
         inst_path = gen(tmp_path, k=3, side=0.5, radius=1.0)
         out = tmp_path / "sol.json"
         code = main(
-            ["solve", "--algo", "spiral", "--input", str(inst_path),
-             "--deterministic-start", "--output", str(out)]
+            ["solve", "--algo", "spiral", "--input", str(inst_path), "--output", str(out)]
         )
         assert code == EXIT_OK
         sol, feasible = parse_solution(out.read_text())
@@ -107,11 +108,6 @@ class TestSolve:
         assert main(["solve", "--algo", "spiral", "--input", str(inst_path),
                      "--trials", "5"]) == EXIT_USAGE
 
-    def test_deterministic_start_with_kmeans_usage_error(self, tmp_path):
-        inst_path = gen(tmp_path)
-        assert main(["solve", "--algo", "kmeans", "--input", str(inst_path),
-                     "--deterministic-start"]) == EXIT_USAGE
-
     def test_unknown_algo_usage_error(self, tmp_path):
         inst_path = gen(tmp_path)
         assert main(["solve", "--algo", "dance", "--input", str(inst_path)]) == EXIT_USAGE
@@ -136,8 +132,37 @@ class TestSolve:
                      "--node-limit", "1"]) == EXIT_BUDGET
 
 
+class TestSolveMatchesBench:
+    """`solve` and `bench` run the same solver for the same instance and seed."""
+
+    @pytest.mark.parametrize("algo", ALGORITHMS)
+    def test_same_solution_as_solver_table_and_campaign(self, tmp_path, algo, capsys):
+        seed, ratio = 7, 4.0
+        inst_path = gen(tmp_path, k=15, side=1.0, radius=1.0 / ratio, seed=seed)
+        cfg = TrialConfig(trials=3)
+        argv = ["solve", "--algo", algo, "--input", str(inst_path), "--seed", str(seed)]
+        if algo in ("kmeans", "random"):
+            argv += ["--trials", "3"]
+        capsys.readouterr()
+        assert main(argv) == EXIT_OK
+        got, _ = parse_solution(capsys.readouterr().out)
+
+        inst = parse_instance(inst_path.read_text())
+        want, _ = parse_solution(emit_solution(SOLVERS[algo](inst, seed, cfg), feasible=True))
+        assert got.m == want.m
+        assert got.centers == want.centers
+        assert got.newly_covered == want.newly_covered
+
+        campaign = Campaign(
+            k=15, side=1.0, ratios=[ratio], topologies=1, base_seed=seed,
+            algorithms=[algo], trials=cfg,
+        )
+        (row,) = run_campaign(campaign).rows
+        assert row.m == got.m
+
+
 class TestBench:
-    def test_csv_reports(self, tmp_path):
+    def test_csv_reports(self, tmp_path, capsys):
         out = tmp_path / "reports"
         code = main(
             ["bench", "--k", "10", "--ratios", "2,3", "--topologies", "2",
@@ -148,8 +173,9 @@ class TestBench:
         raw = (out / "raw.csv").read_text().strip().split("\n")
         assert raw[0] == "algorithm,k,ratio,topology_seed,M,runtime_ms"
         assert len(raw) == 1 + 2 * 2 * 2
-        agg = (out / "aggregate.csv").read_text().strip().split("\n")
-        assert agg[0] == "k,algorithm,metric,2,3"
+        agg = (out / "aggregate.csv").read_text()
+        assert agg.split("\n")[0] == "k,algorithm,metric,2,3"
+        assert capsys.readouterr().out == agg
 
     def test_json_report(self, tmp_path):
         out = tmp_path / "reports"

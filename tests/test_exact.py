@@ -104,11 +104,11 @@ class TestMinCover:
     @settings(max_examples=30)
     def test_oracle_never_beaten_by_heuristics(self, inst):
         opt = min_cover(inst).m
-        cfg = TrialConfig(trials=5, seed=1)
+        cfg = TrialConfig(trials=5)
         assert solve_spiral(inst).m >= opt
-        assert solve_strip(inst, cfg).m >= opt
-        assert solve_kmeans(inst, cfg).m >= opt
-        assert solve_random(inst, cfg).m >= opt
+        assert solve_strip(inst, 1).m >= opt
+        assert solve_kmeans(inst, 1, cfg).m >= opt
+        assert solve_random(inst, 1, cfg).m >= opt
 
     @given(instances(max_size=12))
     @settings(max_examples=30)

@@ -168,7 +168,9 @@ class TestOneCenter:
         if len(set(pts)) < 2:
             return
         disk = one_center(pts)
-        shrunk = disk.radius * (1.0 - 1e-6)
+        # A subnormal radius times (1 - 1e-6) rounds back to the radius; the
+        # test disk must still be strictly smaller, so shrink by one ulp there.
+        shrunk = min(disk.radius * (1.0 - 1e-6), math.nextafter(disk.radius, 0.0))
         assert any(dist(disk.center, p) > shrunk for p in pts)
         # Matches the pair/triple enumeration oracle.  Fuzzed inputs can be
         # nearly degenerate, where both routes lose digits to conditioning,

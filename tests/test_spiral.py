@@ -12,7 +12,8 @@ from diskcover import (
     solution_violations,
     solve_spiral,
 )
-from diskcover.geometry import Disk, covers, dist
+from diskcover.exact import min_cover
+from diskcover.geometry import Disk, coverage_bound, covers, dist, within_radius
 from diskcover.bench import generate_topology
 
 from conftest import grid_point_lists, instances
@@ -77,6 +78,19 @@ class TestLocalCoverExamples:
         inst = make_inst([(0.0, 0.0), (3.0, 0.0)], r=1.0)
         with pytest.raises(ContractError):
             local_cover((3.0, 0.0), [0], [1], inst)
+
+
+class TestPairAtTheCoverageBound:
+    @pytest.mark.parametrize("r", [1.0, 2e-10])
+    def test_pair_that_fits_one_disk_gets_one(self, r):
+        # The pair's enclosing radius d/2 passes the coverage rule, so the
+        # 2r exclusion must keep it: one disk, as the oracle finds.
+        d = 2.0 * coverage_bound(r) - 0.5e-12
+        inst = make_inst([(0.0, 0.0), (d, 0.0)], r)
+        assert within_radius(r, one_center(inst.points).radius)
+        sol = solve_spiral(inst)
+        assert not solution_violations(inst, sol)
+        assert sol.m == min_cover(inst).m == 1
 
 
 @st.composite
