@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import math
 import random
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence, Union
+
+import numpy as np
 
 Point = tuple[float, float]
 
@@ -17,6 +19,21 @@ ABS_TOL = 1e-12
 
 # Internal slack for the enclosing-disk recursion only.
 _MEC_EPS = 1.0 + 1e-14
+
+# The hull prefilter drops a point only when it sits inside the extreme
+# polygon by more than _HULL_MARGIN * _EPS * (largest |coordinate|) * (extent)
+# in cross-product units.  It evaluates each edge test untranslated, as
+# normal . p > normal . a, whose rounding grows with the coordinates'
+# magnitude: at offsets such as UTM coordinates a margin of extent**2 alone
+# would let a hull vertex pass as interior.
+_HULL_MARGIN = 64.0
+_EPS = float(np.finfo(float).eps)
+# Rows: the directions -y, x - y, x, x + y, y, y - x, -x, -x - y, in
+# counterclockwise order; a projection onto one is x +- y rounded once.
+_EXTREME_DIRECTIONS = np.array(
+    [[0.0, -1.0], [1.0, -1.0], [1.0, 0.0], [1.0, 1.0],
+     [0.0, 1.0], [-1.0, 1.0], [-1.0, 0.0], [-1.0, -1.0]]
+)
 
 
 class Disk(NamedTuple):
@@ -49,20 +66,65 @@ def _cross(o: Point, a: Point, b: Point) -> float:
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
 
-def convex_hull(points: Sequence[Point]) -> list[int]:
+def _hull_candidates(xy: np.ndarray) -> np.ndarray:
+    """Ascending indices of the points not strictly inside the extreme polygon.
+
+    Akl & Toussaint (1978): the extremes along the eight directions of
+    _EXTREME_DIRECTIONS, taken in that order, are hull vertices in
+    counterclockwise order.  A point on the inner side of every edge of their
+    polygon by more than the rounding of a cross product is interior to the
+    hull.  With fewer than three distinct extremes nothing is dropped.
+    """
+    xt = np.ascontiguousarray(xy.T)
+    ext = xy[np.argmax(_EXTREME_DIRECTIONS @ xt, axis=1)]
+    verts: list[Point] = []
+    for v in map(tuple, ext.tolist()):
+        if not verts or v != verts[-1]:
+            verts.append(v)
+    if len(verts) > 1 and verts[0] == verts[-1]:
+        verts.pop()
+    if len(set(verts)) < 3:
+        return np.arange(len(xy))
+    # ext holds the extremes along x and y, so its bounds are the input's.
+    lo, hi = ext.min(axis=0), ext.max(axis=0)
+    extent = float((hi - lo).max())
+    magnitude = float(np.maximum(np.abs(lo), np.abs(hi)).max())
+    margin = _HULL_MARGIN * _EPS * magnitude * extent
+    # Edge a -> b keeps p on its inner side when (b - a) x (p - a) > margin,
+    # evaluated as normal . p > normal . a + margin for all points at once.
+    a = np.array(verts)
+    e = np.roll(a, -1, axis=0) - a
+    normal = np.column_stack((-e[:, 1], e[:, 0]))
+    offset = (normal * a).sum(axis=1) + margin
+    inside = (normal @ xt > offset[:, None]).all(axis=0)
+    return np.flatnonzero(~inside)
+
+
+def convex_hull(points: Union[Sequence[Point], np.ndarray]) -> list[int]:
     """Indices of the strict convex hull in counterclockwise order.
 
+    ``points`` is a sequence of (x, y) pairs or an ``(n, 2)`` float array.
     Only extreme points are listed: collinear boundary points are dropped.
     Duplicate coordinates collapse to the lowest index.  For three or more
     hull vertices the listing starts at the bottom-most (then left-most)
     vertex; a degenerate input (all points collinear) yields the two extreme
     indices, lower index first, and a single distinct point yields [index].
+
+    Before the monotone chain runs, an Akl-Toussaint prefilter drops the
+    points strictly inside the polygon of the extremes along x, y, x + y and
+    x - y.  That leaves the output unchanged: a dropped point lies inside by
+    a margin well above the rounding of any cross product, so the chain would
+    pop it and never keep it as a vertex; every point on or near the boundary
+    survives, and survivors keep their input order, so duplicates of a vertex
+    still collapse to the lowest index.
     """
-    if not points:
+    xy = np.asarray(points, dtype=float)
+    if len(xy) == 0:
         raise ValueError("convex_hull: empty point list")
+    keep = _hull_candidates(xy)
     first_idx: dict[Point, int] = {}
-    for i, p in enumerate(points):
-        q = (p[0], p[1])
+    for i, (px, py) in zip(keep.tolist(), xy[keep].tolist()):
+        q = (px, py)
         if q not in first_idx:
             first_idx[q] = i
     uniq = sorted(first_idx)

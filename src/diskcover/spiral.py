@@ -131,17 +131,24 @@ def solve_spiral(
     t0 = time.perf_counter()
     rng = np.random.Generator(np.random.PCG64(seed))
 
-    uncovered = list(range(inst.k))
+    xy = np.array(pts, dtype=float)
+    # Superset windows for the exact tests they feed: local_cover drops every
+    # candidate farther than 2 * coverage_bound(r) from the anchor, and covers
+    # admits nothing past coverage_bound(r).  The 1e-6 widening absorbs any
+    # difference between np.hypot and math.hypot.
+    reach = coverage_bound(r) * (1.0 + 1e-6)
+    alive = np.ones(inst.k, dtype=bool)
+    uncovered = np.arange(inst.k)
     carried: Optional[int] = None
     centers: list[Point] = []
     newly_all: list[list[int]] = []
     steps: list[SpiralStep] = []
 
-    while uncovered:
-        hull_local = convex_hull([pts[k] for k in uncovered])
-        boundary = [uncovered[i] for i in hull_local]
+    while uncovered.size:
+        sub = xy[uncovered]
+        ux, uy = sub[:, 0], sub[:, 1]
+        boundary = uncovered[convex_hull(sub)].tolist()
         bset = set(boundary)
-        inner = [k for k in uncovered if k not in bset]
 
         if carried is not None and carried in bset:
             k0 = carried
@@ -151,15 +158,21 @@ def solve_spiral(
             k0 = boundary[int(rng.integers(len(boundary)))]
 
         first = local_cover(pts[k0], [k0], [k for k in boundary if k != k0], inst)
+        near = uncovered[np.hypot(ux - pts[k0][0], uy - pts[k0][1]) <= 2.0 * reach]
+        inner = [k for k in near.tolist() if k not in bset]
         second = local_cover(first.center, first.covered, inner, inst)
         center = second.center
 
         disk = Disk(center, r)
-        newly = [k for k in uncovered if covers(disk, pts[k])]
+        reached = uncovered[np.hypot(ux - center[0], uy - center[1]) <= reach]
+        newly = [k for k in reached.tolist() if covers(disk, pts[k])]
+        if not newly:
+            raise RuntimeError("spiral placed a disk that covers no uncovered point")
         newly_set = set(newly)
         centers.append(center)
         newly_all.append(newly)
-        uncovered = [k for k in uncovered if k not in newly_set]
+        alive[newly] = False
+        uncovered = uncovered[alive[uncovered]]
 
         carried = None
         pos = boundary.index(k0)

@@ -45,3 +45,13 @@ def instances(draw, min_size=1, max_size=20):
     pts = draw(point_lists(min_size=min_size, max_size=max_size))
     r = draw(radii)
     return Instance(points=pts, radius=r)
+
+
+# Uniform scalings from 1e-6 to 1e6 (a power of ten rounds the coordinates,
+# a power of two does not) and per-axis offsets up to 1e9 in either sign, for
+# the checks that a rewrite decides exactly like its serial reference far
+# from the unit box.
+scales = st.sampled_from([10.0**e for e in range(-6, 7)] + [2.0**-20, 2.0**-3, 2.0**19])
+offsets = st.sampled_from([0.0, 1.0, 1e3, 5e5, 1e6, 3.7e7, 1e9, 2.0**30]).flatmap(
+    lambda o: st.sampled_from([o, -o])
+)

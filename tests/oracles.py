@@ -3,10 +3,11 @@
 Nothing here shares code paths with the package's solvers: hulls come from a
 triangle-containment test, enclosing disks from pair/triple enumeration, and
 minimum covers from exhaustive subset search, so each comparison is a genuine
-dual-route check.  The one exception is the serial k-means reference at the
-end: it keeps the trial-by-trial loop that the package's lockstep k-means
-replaced, on the same geometry primitives, so that the two must agree bit for
-bit.
+dual-route check.  The exceptions are the serial references at the end: the
+trial-by-trial k-means loop that the package's lockstep k-means replaced, and
+the pure-Python monotone chain and spiral loop that the package's prefiltered
+hull and windowed spiral scans replaced.  They run on the same primitives, so
+each pair must agree bit for bit.
 """
 
 from __future__ import annotations
@@ -17,7 +18,9 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from diskcover.geometry import coverage_bound, one_center, within_radius
+from diskcover.geometry import Disk, coverage_bound, covers, one_center, within_radius
+from diskcover.problem import Instance, Solution
+from diskcover.spiral import SpiralStep, local_cover
 
 Point = tuple[float, float]
 
@@ -388,3 +391,117 @@ def kmeans_serial(points: Sequence[Point], r: float, trials: int, seed: int, max
             best = clusters
     centers = [one_center([(q[0], q[1]) for q in xy[m]]).center for m in best]
     return centers, [[int(k) for k in m] for m in best]
+
+
+# --- Serial hull and spiral references -----------------------------------
+
+
+def convex_hull_serial(points: Sequence[Point]) -> list[int]:
+    """The monotone chain over every input point, with no prefilter.
+
+    Same contract as :func:`diskcover.geometry.convex_hull`: strict hull,
+    counterclockwise from the bottom-most (then left-most) vertex, duplicates
+    collapsed to the lowest index.
+    """
+    if not points:
+        raise ValueError("convex_hull: empty point list")
+    first_idx: dict[Point, int] = {}
+    for i, p in enumerate(points):
+        q = (p[0], p[1])
+        if q not in first_idx:
+            first_idx[q] = i
+    uniq = sorted(first_idx)
+    if len(uniq) == 1:
+        return [first_idx[uniq[0]]]
+
+    lower: list[Point] = []
+    for p in uniq:
+        while len(lower) >= 2 and _orient(lower[-2], lower[-1], p) <= 0.0:
+            lower.pop()
+        lower.append(p)
+    upper: list[Point] = []
+    for p in reversed(uniq):
+        while len(upper) >= 2 and _orient(upper[-2], upper[-1], p) <= 0.0:
+            upper.pop()
+        upper.append(p)
+    ring = lower[:-1] + upper[:-1]
+
+    if len(ring) == 2:
+        i, j = first_idx[ring[0]], first_idx[ring[1]]
+        return [min(i, j), max(i, j)]
+    start = min(range(len(ring)), key=lambda i: (ring[i][1], ring[i][0]))
+    ring = ring[start:] + ring[:start]
+    return [first_idx[p] for p in ring]
+
+
+def spiral_serial(
+    inst: Instance,
+    seed: int = 0,
+    deterministic_start: bool = True,
+    keep_trace: bool = False,
+) -> Solution:
+    """The spiral loop with every uncovered point passed to each step.
+
+    Each step takes the serial hull of all uncovered points, hands every
+    interior point to the second ``local_cover`` call and tests every
+    uncovered point against the placed disk.
+    """
+    r = inst.require_radius()
+    pts = inst.points
+    rng = np.random.Generator(np.random.PCG64(seed))
+
+    uncovered = list(range(inst.k))
+    carried: Optional[int] = None
+    centers: list[Point] = []
+    newly_all: list[list[int]] = []
+    steps: list[SpiralStep] = []
+
+    while uncovered:
+        hull_local = convex_hull_serial([pts[k] for k in uncovered])
+        boundary = [uncovered[i] for i in hull_local]
+        bset = set(boundary)
+        inner = [k for k in uncovered if k not in bset]
+
+        if carried is not None and carried in bset:
+            k0 = carried
+        elif deterministic_start:
+            k0 = boundary[0]
+        else:
+            k0 = boundary[int(rng.integers(len(boundary)))]
+
+        first = local_cover(pts[k0], [k0], [k for k in boundary if k != k0], inst)
+        second = local_cover(first.center, first.covered, inner, inst)
+        center = second.center
+
+        disk = Disk(center, r)
+        newly = [k for k in uncovered if covers(disk, pts[k])]
+        newly_set = set(newly)
+        centers.append(center)
+        newly_all.append(newly)
+        uncovered = [k for k in uncovered if k not in newly_set]
+
+        carried = None
+        pos = boundary.index(k0)
+        for off in range(1, len(boundary)):
+            cand = boundary[(pos + off) % len(boundary)]
+            if cand not in newly_set:
+                carried = cand
+                break
+        if keep_trace:
+            steps.append(
+                SpiralStep(
+                    k0=k0,
+                    boundary=boundary,
+                    newly_boundary=list(first.covered),
+                    newly=newly,
+                    center=center,
+                )
+            )
+
+    return Solution(
+        algorithm="spiral",
+        seed=seed,
+        centers=centers,
+        newly_covered=newly_all,
+        trace=steps if keep_trace else None,
+    )

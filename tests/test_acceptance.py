@@ -6,7 +6,6 @@ assert sample means over fixed seeded topology sets within +/-15%.  All seeds
 below are frozen; see the README for how to rerun the sweeps standalone.
 """
 
-import math
 import time
 
 import numpy as np
@@ -14,7 +13,6 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-import diskcover as dc
 from diskcover import (
     Instance,
     TrialConfig,
@@ -73,6 +71,27 @@ K80_KMEANS_COUNTS = {
     6: [10, 12, 10, 11, 13, 13, 11, 10, 12, 10, 12, 12, 12, 13, 12, 10, 10, 10, 10, 12],
     8: [17, 15, 15, 18, 17, 17, 18, 17, 19, 17, 17, 20, 18, 17, 15, 19, 18, 15, 17, 17],
     10: [20, 25, 20, 20, 25, 26, 23, 20, 25, 22, 24, 25, 23, 24, 24, 23, 23, 20, 23, 23],
+}
+
+# Per-topology spiral disk counts on the same criterion-2 topologies (seeded
+# K80_BASE + t), recorded from the serial spiral loop.  Any rewrite of the
+# spiral or the hull must reproduce them exactly.
+K80_SPIRAL_COUNTS = {
+    2: [2, 3, 2, 2, 3, 3, 3, 2, 3, 2, 2, 3, 2, 3, 2, 3, 2, 2, 2, 2],
+    4: [6, 6, 7, 6, 6, 6, 6, 6, 6, 6, 6, 7, 5, 6, 6, 6, 6, 5, 8, 6],
+    6: [10, 11, 10, 10, 11, 12, 11, 9, 11, 10, 11, 11, 10, 10, 11, 11, 11, 10, 11, 10],
+    8: [16, 15, 16, 15, 15, 15, 16, 14, 17, 15, 16, 17, 15, 14, 16, 16, 16, 15, 16, 15],
+    10: [18, 22, 18, 19, 21, 23, 22, 20, 21, 21, 20, 20, 19, 19, 20, 21, 20, 18, 21, 21],
+}
+
+# Per-topology spiral disk counts on the criterion-3 topologies (K400_BASE + t,
+# t = 0..9), recorded from the serial spiral loop.
+K400_SPIRAL_COUNTS = {
+    4: [9, 8, 8, 8, 8, 8, 8, 8, 9, 8],
+    8: [23, 23, 23, 25, 22, 23, 24, 23, 24, 22],
+    12: [42, 41, 45, 42, 43, 45, 41, 41, 42, 41],
+    16: [61, 62, 62, 66, 64, 63, 61, 60, 63, 63],
+    20: [86, 84, 84, 87, 84, 86, 84, 81, 83, 85],
 }
 
 
@@ -148,6 +167,12 @@ def test_criterion_2_kmeans_counts_frozen(k80_counts):
     print("CRITERION 2: PASS (k-means per-topology counts equal the frozen values)")
 
 
+def test_criterion_2_spiral_counts_frozen(k80_counts):
+    for ratio, ms in K80_SPIRAL_COUNTS.items():
+        assert k80_counts[("spiral", ratio)] == ms, f"D/r={ratio}"
+    print("CRITERION 2: PASS (spiral per-topology counts equal the frozen values)")
+
+
 def test_criterion_3_k400_spiral_row_and_runtime():
     worst_runtime = 0.0
     for ratio, target in K400_TARGETS.items():
@@ -159,10 +184,12 @@ def test_criterion_3_k400_spiral_row_and_runtime():
             ms.append(sol.m)
             worst_runtime = max(worst_runtime, sol.runtime)
         check_band(sum(ms) / len(ms), target)
+        assert ms == K400_SPIRAL_COUNTS[ratio], f"D/r={ratio}"
     assert worst_runtime <= 5.0
     print(
         f"CRITERION 3: PASS (K=400 spiral means within +/-15% at D/r in "
-        f"{{4,8,12,16,20}}, slowest solve {worst_runtime:.2f}s <= 5s)"
+        f"{{4,8,12,16,20}}, per-topology counts frozen, slowest solve "
+        f"{worst_runtime:.2f}s <= 5s)"
     )
 
 

@@ -19,7 +19,7 @@ from diskcover import (
 )
 from diskcover import baselines
 from diskcover.exact import DEFAULT_NODE_LIMIT
-from diskcover.geometry import dist, within_radius
+from diskcover.geometry import within_radius
 from diskcover.bench import generate_topology
 
 from conftest import grid_point_lists, instances

@@ -3,7 +3,6 @@ import json
 import time
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from diskcover import Campaign, TrialConfig, generate_topology

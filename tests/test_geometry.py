@@ -7,6 +7,7 @@ import hypothesis.strategies as st
 
 from diskcover.geometry import (
     Disk,
+    _hull_candidates,
     convex_hull,
     covers,
     dist,
@@ -14,8 +15,8 @@ from diskcover.geometry import (
     within_radius,
 )
 
-from conftest import grid_point_lists, point_lists
-from oracles import brute_force_mec, extreme_indices
+from conftest import grid_point_lists, offsets, point_lists, scales
+from oracles import brute_force_mec, convex_hull_serial, extreme_indices
 
 
 def uniform_points(n, seed, scale=1.0):
@@ -64,6 +65,8 @@ class TestConvexHull:
     def test_empty_raises(self):
         with pytest.raises(ValueError):
             convex_hull([])
+        with pytest.raises(ValueError):
+            convex_hull(np.empty((0, 2)))
 
     def test_triangle_is_own_hull(self):
         hull = convex_hull([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)])
@@ -128,6 +131,104 @@ class TestConvexHull:
     @given(grid_point_lists(min_size=1, max_size=10))
     def test_hull_matches_oracle_small(self, pts):
         assert set(convex_hull(pts)) == extreme_indices(pts)
+
+
+unit_coordinate = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
+
+
+def _nudged(v, steps):
+    for _ in range(abs(steps)):
+        v = math.nextafter(v, math.copysign(math.inf, steps))
+    return v
+
+
+@st.composite
+def hull_cases(draw):
+    """Point sets for the prefiltered hull, transformed far from the unit box.
+
+    Families: a uniform cloud; a small integer lattice (duplicates and
+    collinear runs); all points on one line; and a diamond or square whose
+    edges carry extra points nudged a few ulps either side after the
+    transform (near-collinear hull edges), around an interior cloud.
+    """
+    kind = draw(st.sampled_from(["cloud", "lattice", "collinear", "near_collinear"]))
+    n = draw(st.integers(min_value=1, max_value=120))
+    if kind == "cloud":
+        pts = draw(st.lists(st.tuples(unit_coordinate, unit_coordinate), min_size=n, max_size=n))
+    elif kind == "lattice":
+        m = draw(st.integers(min_value=0, max_value=5))
+        cell = st.integers(min_value=-m, max_value=m).map(float)
+        pts = draw(st.lists(st.tuples(cell, cell), min_size=n, max_size=n))
+    elif kind == "collinear":
+        dx, dy = draw(
+            st.tuples(st.integers(-3, 3), st.integers(-3, 3)).filter(lambda d: d != (0, 0))
+        )
+        ts = draw(st.lists(st.integers(-50, 50), min_size=n, max_size=n))
+        pts = [(float(t * dx), float(t * dy)) for t in ts]
+    else:
+        corners = draw(
+            st.sampled_from(
+                [
+                    [(0.0, -1.0), (1.0, 0.0), (0.0, 1.0), (-1.0, 0.0)],
+                    [(-1.0, -1.0), (1.0, -1.0), (1.0, 1.0), (-1.0, 1.0)],
+                ]
+            )
+        )
+        pts = list(corners)
+        for _ in range(n):
+            e = draw(st.integers(0, 3))
+            t = draw(st.floats(min_value=0.0, max_value=1.0))
+            (ax, ay), (bx, by) = corners[e], corners[(e + 1) % 4]
+            pts.append((ax + t * (bx - ax), ay + t * (by - ay)))
+        inner = draw(st.lists(st.tuples(unit_coordinate, unit_coordinate), max_size=n))
+        pts += [(0.5 * x, 0.5 * y) for x, y in inner]
+    s, ox, oy = draw(scales), draw(offsets), draw(offsets)
+    pts = [(x * s + ox, y * s + oy) for x, y in pts]
+    if kind == "near_collinear":
+        nudge = st.integers(min_value=-4, max_value=4)
+        pts = [(_nudged(x, draw(nudge)), _nudged(y, draw(nudge))) for x, y in pts]
+    # Copies of drawn points at drawn positions, so duplicates interleave.
+    for _ in range(draw(st.integers(min_value=0, max_value=10))):
+        src = draw(st.integers(0, len(pts) - 1))
+        pts.insert(draw(st.integers(0, len(pts))), pts[src])
+    return pts
+
+
+class TestHullMatchesSerial:
+    """The prefiltered hull lists exactly what the plain monotone chain does."""
+
+    @given(hull_cases())
+    @settings(max_examples=400)
+    def test_same_indices_as_serial(self, pts):
+        want = convex_hull_serial(pts)
+        assert convex_hull(pts) == want
+        assert convex_hull(np.array(pts)) == want
+
+    @pytest.mark.parametrize("offset", [0.0, 1e6, 1e9])
+    @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+    def test_uniform_cloud_at_offset_and_scale(self, offset, scale):
+        pts = [(x * scale + offset, y * scale - offset) for x, y in uniform_points(2000, seed=61)]
+        assert convex_hull(pts) == convex_hull_serial(pts)
+
+    def test_prefilter_drops_the_interior(self):
+        xy = np.array(uniform_points(2000, seed=62))
+        keep = _hull_candidates(xy)
+        assert len(keep) < 200
+        assert np.all(np.diff(keep) > 0)  # input order
+        assert set(convex_hull_serial(xy.tolist())) <= set(keep.tolist())
+
+    def test_prefilter_keeps_every_point_of_a_degenerate_set(self):
+        line = np.array([(float(t), 2.0 * t) for t in range(50)])
+        assert _hull_candidates(line).tolist() == list(range(50))
+        same = np.ones((7, 2))
+        assert _hull_candidates(same).tolist() == list(range(7))
+
+    def test_duplicates_of_a_vertex_keep_lowest_index(self):
+        pts = uniform_points(300, seed=63)
+        hull = convex_hull_serial(pts)
+        pts = pts[: hull[2]] + [pts[hull[2]]] + pts[hull[2] :]  # copy in front
+        assert convex_hull(pts) == convex_hull_serial(pts)
+        assert hull[2] in convex_hull(pts)
 
 
 class TestOneCenter:

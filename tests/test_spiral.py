@@ -6,7 +6,6 @@ import hypothesis.strategies as st
 from diskcover import (
     ContractError,
     Instance,
-    is_feasible,
     local_cover,
     one_center,
     solution_violations,
@@ -16,8 +15,8 @@ from diskcover.exact import min_cover
 from diskcover.geometry import Disk, coverage_bound, covers, dist, within_radius
 from diskcover.bench import generate_topology
 
-from conftest import grid_point_lists, instances
-from oracles import best_single_disk_extension
+from conftest import grid_point_lists, instances, offsets, scales
+from oracles import best_single_disk_extension, spiral_serial
 
 
 def make_inst(points, r):
@@ -249,3 +248,72 @@ class TestSolveSpiralProperties:
             for prev, nxt in zip(steps, steps[1:]):
                 survivors = set(prev.boundary) - set(prev.newly)
                 assert survivors <= set(nxt.boundary)
+
+
+@st.composite
+def spiral_cases(draw):
+    """Instances for the windowed spiral, transformed far from the unit box.
+
+    Families: a uniform cloud at D/r 2..12; a random part of a square lattice
+    of spacing 2r (pairs exactly 2r apart, so the best disk touches both at
+    exactly r) or r; points on one line at spacing 2r; a thin strip
+    (near-collinear hull edges).  Each may carry duplicated points.
+    """
+    kind = draw(st.sampled_from(["cloud", "lattice_2r", "lattice_r", "line_2r", "strip"]))
+    r = draw(st.sampled_from([0.25, 0.5, 1.0, 0.3]))
+    n = draw(st.integers(min_value=1, max_value=60))
+    if kind == "cloud":
+        side = r * draw(st.floats(min_value=2.0, max_value=12.0))
+        c = st.floats(min_value=0.0, max_value=side)
+        pts = draw(st.lists(st.tuples(c, c), min_size=n, max_size=n))
+    elif kind in ("lattice_2r", "lattice_r"):
+        step = 2.0 * r if kind == "lattice_2r" else r
+        i = st.integers(min_value=0, max_value=7)
+        pts = [(a * step, b * step) for a, b in draw(st.lists(st.tuples(i, i), min_size=n, max_size=n))]
+    elif kind == "line_2r":
+        ts = draw(st.lists(st.integers(min_value=0, max_value=30), min_size=n, max_size=n))
+        pts = [(2.0 * r * t, r * t) for t in ts]
+    else:
+        x = st.floats(min_value=0.0, max_value=10.0 * r)
+        y = st.floats(min_value=0.0, max_value=1e-9 * r)
+        pts = draw(st.lists(st.tuples(x, y), min_size=n, max_size=n))
+    for _ in range(draw(st.integers(min_value=0, max_value=5))):
+        pts.insert(draw(st.integers(0, len(pts))), pts[draw(st.integers(0, len(pts) - 1))])
+    s, ox, oy = draw(scales), draw(offsets), draw(offsets)
+    return make_inst([(x * s + ox, y * s + oy) for x, y in pts], r * s)
+
+
+def assert_same_as_serial(inst, **kwargs):
+    got = solve_spiral(inst, keep_trace=True, **kwargs)
+    want = spiral_serial(inst, keep_trace=True, **kwargs)
+    assert got.centers == want.centers
+    assert got.newly_covered == want.newly_covered
+    assert got.trace == want.trace
+
+
+class TestSpiralMatchesSerial:
+    """The windowed spiral places the same disks as the loop over every point."""
+
+    @given(spiral_cases())
+    @settings(max_examples=150)
+    def test_deterministic_start(self, inst):
+        assert_same_as_serial(inst)
+
+    @given(spiral_cases(), st.integers(min_value=0, max_value=2**31))
+    @settings(max_examples=100)
+    def test_seeded_start(self, inst, seed):
+        assert_same_as_serial(inst, seed=seed, deterministic_start=False)
+
+    @pytest.mark.parametrize("deterministic_start", [True, False])
+    def test_k2000_cell(self, deterministic_start):
+        inst = generate_topology(2000, 1.0, 6000, radius=1.0 / 50.0)
+        assert_same_as_serial(inst, seed=6000, deterministic_start=deterministic_start)
+
+    def test_lattice_contacts_at_exactly_r(self):
+        # Spacing 2r: every disk can take a pair whose points sit exactly r
+        # from its center and exactly 2r from the anchor.
+        r = 0.5
+        inst = make_inst([(2.0 * r * a, 2.0 * r * b) for a in range(9) for b in range(9)], r)
+        sol = solve_spiral(inst)
+        assert max(len(g) for g in sol.newly_covered) == 2
+        assert_same_as_serial(inst)
