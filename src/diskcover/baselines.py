@@ -10,12 +10,15 @@ from typing import Generator, Optional
 import numpy as np
 
 from .exact import DEFAULT_NODE_LIMIT
-from .geometry import Disk, Point, coverage_bound, covers, one_center, within_radius
+from .geometry import Disk, Point, coverage_bound, covers, one_center, within_mask, within_radius
 from .problem import Instance, Solution
 
 # Strip height over r: sqrt(3) keeps a midline-centered disk spanning the full
 # strip while retaining horizontal reach at the strip edges.
 STRIP_HEIGHT_FACTOR = math.sqrt(3.0)
+
+# Batch k-means passes per probe before its labels are taken as they stand.
+KMEANS_MAX_ITERS = 100
 
 
 @dataclass(frozen=True)
@@ -23,14 +26,11 @@ class TrialConfig:
     """Knobs for the stochastic baselines and the oracle's search budget."""
 
     trials: int = 100
-    max_kmeans_iters: int = 100
     node_limit: int = DEFAULT_NODE_LIMIT
 
     def __post_init__(self) -> None:
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        if self.max_kmeans_iters < 1:
-            raise ValueError("max_kmeans_iters must be >= 1")
 
 
 def solve_strip(inst: Instance, seed: int = 0) -> Solution:
@@ -177,11 +177,10 @@ def _batch_lockstep(
     pts: np.ndarray,
     c: np.ndarray,
     real: np.ndarray,
-    max_iters: int,
     buf: np.ndarray,
     tmp_buf: np.ndarray,
 ) -> np.ndarray:
-    """Batch passes per row until its labels repeat, at most `max_iters`.
+    """Batch passes per row until its labels repeat, at most KMEANS_MAX_ITERS.
 
     Updates the centers in place and returns the labels (B, n).  A row whose
     labels repeat is written back and dropped from the working set.
@@ -192,7 +191,7 @@ def _batch_lockstep(
     labels = np.zeros((b_rows, n), dtype=np.intp)
     at = np.arange(b_rows)  # working row -> row
     lab, wc, wreal = labels, c, real
-    for it in range(max_iters):
+    for it in range(KMEANS_MAX_ITERS):
         k = len(at)
         dist2 = buf[: k * n * pm].reshape(k, n, pm)
         _fill_sqdist(dist2, tmp_buf[: k * n * pm].reshape(k, n, pm), pts, wc)
@@ -323,7 +322,6 @@ def _lloyd_lockstep(
     ps: np.ndarray,
     r: float,
     rngs: list[np.random.Generator],
-    max_iters: int,
     buf: np.ndarray,
     tmp_buf: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -340,7 +338,7 @@ def _lloyd_lockstep(
     pts = np.ascontiguousarray(xy.T)
     real = np.arange(pm)[None, :] < ps[:, None]
     c = _seed_lockstep(pts, ps, rngs)
-    labels = _batch_lockstep(pts, c, real, max_iters, buf, tmp_buf)
+    labels = _batch_lockstep(pts, c, real, buf, tmp_buf)
     counts = _refine_lockstep(pts, labels, c, np.where(real, 0.0, np.inf), buf, tmp_buf)
 
     # Feasibility over per-cluster bounding boxes.  Half the larger extent
@@ -413,7 +411,6 @@ def solve_kmeans(inst: Instance, seed: int = 0, cfg: Optional[TrialConfig] = Non
                 np.array([probes[t] for t in block]),
                 r,
                 [rngs[t] for t in block],
-                cfg.max_kmeans_iters,
                 buf,
                 tmp_buf,
             )
@@ -462,6 +459,8 @@ def solve_random(inst: Instance, seed: int = 0, cfg: Optional[TrialConfig] = Non
     xy = np.asarray(inst.points, dtype=float)
     k_total = len(xy)
     bound = coverage_bound(r)
+    # The points each drawn center reaches, ascending, shared by every pass.
+    reach: dict[int, np.ndarray] = {}
 
     best_centers: Optional[list[Point]] = None
     best_newly: Optional[list[list[int]]] = None
@@ -473,10 +472,12 @@ def solve_random(inst: Instance, seed: int = 0, cfg: Optional[TrialConfig] = Non
         while alive.any():
             live = np.flatnonzero(alive)
             pick = int(live[int(rng.integers(live.size))])
-            cx, cy = float(xy[pick, 0]), float(xy[pick, 1])
-            d = np.hypot(xy[live, 0] - cx, xy[live, 1] - cy)
-            taken = live[d <= bound]
-            centers.append((cx, cy))
+            center = (float(xy[pick, 0]), float(xy[pick, 1]))
+            if pick not in reach:
+                reach[pick] = np.flatnonzero(within_mask(xy, center, bound))
+            near = reach[pick]
+            taken = near[alive[near]]
+            centers.append(center)
             newly_all.append([int(i) for i in taken])
             alive[taken] = False
         if best_centers is None or len(centers) < len(best_centers):

@@ -68,8 +68,8 @@ class Campaign:
             raise ValueError("k must be >= 1")
         if not (math.isfinite(self.side) and self.side > 0):
             raise ValueError("side must be finite and positive")
-        if not self.ratios or any(x <= 0 for x in self.ratios):
-            raise ValueError("ratios must be positive")
+        if not self.ratios or not all(math.isfinite(x) and x > 0 for x in self.ratios):
+            raise ValueError("ratios must be finite and positive")
         if self.topologies < 1:
             raise ValueError("topologies must be >= 1")
         unknown = set(self.algorithms) - set(ALGORITHMS)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -38,6 +39,14 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _seed(text: str) -> int:
+    """A PCG64 seed: a non-negative integer."""
+    seed = int(text)
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"seed must be >= 0: {seed}")
+    return seed
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="diskcover", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
@@ -46,14 +55,14 @@ def build_parser() -> _Parser:
     gen.add_argument("--k", type=int, required=True, help="number of points")
     gen.add_argument("--side", type=float, required=True, help="square side length (km)")
     gen.add_argument("--radius", type=float, required=True, help="coverage radius (km)")
-    gen.add_argument("--seed", type=int, required=True, help="topology seed")
+    gen.add_argument("--seed", type=_seed, required=True, help="topology seed")
     gen.add_argument("--output", required=True, help="instance file to write")
 
     solve = sub.add_parser("solve", help="solve an instance file")
     solve.add_argument("--algo", required=True, choices=ALGORITHMS)
     solve.add_argument("--input", required=True, help="instance file to read")
     solve.add_argument("--radius", type=float, default=None, help="override the file radius (km)")
-    solve.add_argument("--seed", type=int, default=0)
+    solve.add_argument("--seed", type=_seed, default=0)
     solve.add_argument("--trials", type=int, default=None, help="kmeans/random restarts")
     solve.add_argument(
         "--node-limit",
@@ -71,7 +80,7 @@ def build_parser() -> _Parser:
     bench.add_argument(
         "--algos", required=True, help=f"comma-separated subset of {','.join(ALGORITHMS)}"
     )
-    bench.add_argument("--seed", type=int, default=0)
+    bench.add_argument("--seed", type=_seed, default=0)
     bench.add_argument("--trials", type=int, default=100)
     bench.add_argument("--side", type=float, default=1.0, help="square side length (km)")
     bench.add_argument("--report", choices=("csv", "json"), default="csv")
@@ -91,13 +100,10 @@ def _write_text(path: str, text: str) -> None:
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
-    if args.k < 1:
-        raise UsageError("--k must be >= 1")
-    if not args.side > 0:
-        raise UsageError("--side must be positive")
-    if not args.radius > 0:
-        raise UsageError("--radius must be positive")
-    inst = generate_topology(args.k, args.side, args.seed, radius=args.radius)
+    try:
+        inst = generate_topology(args.k, args.side, args.seed, radius=args.radius)
+    except ValueError as e:
+        raise UsageError(str(e)) from e
     _write_text(args.output, emit_instance(inst))
     return EXIT_OK
 
@@ -105,16 +111,16 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 def _cmd_solve(args: argparse.Namespace) -> int:
     if args.trials is not None and args.algo not in ("kmeans", "random"):
         raise UsageError("--trials only applies to kmeans and random")
-    if args.trials is not None and args.trials < 1:
-        raise UsageError("--trials must be >= 1")
-    if args.radius is not None and not args.radius > 0:
-        raise UsageError("--radius must be positive")
 
     inst = parse_instance(_read_text(args.input))
-    if args.radius is not None:
-        inst = inst.with_radius(args.radius)
-
-    cfg = TrialConfig(trials=args.trials or 100, node_limit=args.node_limit)
+    try:
+        if args.radius is not None:
+            inst = inst.with_radius(args.radius)
+        cfg = TrialConfig(node_limit=args.node_limit)
+        if args.trials is not None:
+            cfg = replace(cfg, trials=args.trials)
+    except ValueError as e:
+        raise UsageError(str(e)) from e
     sol = SOLVERS[args.algo](inst, args.seed, cfg)
 
     problems = solution_violations(inst, sol)

@@ -13,7 +13,9 @@ import time
 from dataclasses import dataclass
 from typing import Optional
 
-from .geometry import Disk, Point, coverage_bound, covers, dist
+import numpy as np
+
+from .geometry import Point, coverage_bound, dist, within_mask
 from .problem import Instance, Solution
 
 DEFAULT_NODE_LIMIT = 10_000_000
@@ -39,20 +41,19 @@ def generate_candidates(inst: Instance, prune: bool = True) -> list[CandidateDis
     r = inst.require_radius()
     pts = inst.points
     k_total = inst.k
+    xy = np.array(pts, dtype=float)
+    bound = coverage_bound(r)
 
     def coverage_of(center: Point) -> int:
-        disk = Disk(center, r)
-        mask = 0
-        for k, p in enumerate(pts):
-            if covers(disk, p):
-                mask |= 1 << k
-        return mask
+        # Bit k of the little-endian packing is point k.
+        bits = np.packbits(within_mask(xy, center, bound), bitorder="little")
+        return int.from_bytes(bits.tobytes(), "little")
 
     cands: list[CandidateDisk] = []
     for p in pts:
         cands.append(CandidateDisk(p, coverage_of(p)))
 
-    pair_bound = 2.0 * coverage_bound(r)
+    pair_bound = 2.0 * bound
     for i in range(k_total):
         xi, yi = pts[i]
         for j in range(i + 1, k_total):

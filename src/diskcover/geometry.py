@@ -61,6 +61,24 @@ def covers(d: Disk, p: Point) -> bool:
     return within_radius(d.radius, dist(d.center, p))
 
 
+def within_mask(xy: np.ndarray, center: Point, limit: float) -> np.ndarray:
+    """Mask of the rows p of the ``(n, 2)`` array with ``dist(center, p) <= limit``.
+
+    Decided exactly as :func:`dist` decides it.  ``np.hypot`` and the
+    ``math.hypot`` behind :func:`dist` may round one distance to neighbouring
+    floats, so ``np.hypot`` settles only the rows farther than ``1e-6 *
+    limit`` from the limit, and :func:`dist` itself decides the rows within
+    it; the band is relative, so it holds at every scale.  This is the
+    package's only bulk distance test.
+    """
+    cx, cy = center
+    d = np.hypot(xy[:, 0] - cx, xy[:, 1] - cy)
+    mask = d <= limit
+    for i in np.flatnonzero(np.abs(d - limit) <= limit * 1e-6).tolist():
+        mask[i] = dist(center, (float(xy[i, 0]), float(xy[i, 1]))) <= limit
+    return mask
+
+
 def _cross(o: Point, a: Point, b: Point) -> float:
     """Cross product of oa and ob; positive when o->a->b turns left."""
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])

@@ -104,7 +104,3 @@ def solution_violations(inst: Instance, sol: Solution) -> list[str]:
     if missing:
         problems.append(f"points never covered: {sorted(missing)[:8]}")
     return problems
-
-
-def is_feasible(inst: Instance, sol: Solution) -> bool:
-    return not solution_violations(inst, sol)

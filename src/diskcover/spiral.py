@@ -13,7 +13,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .geometry import Disk, Point, convex_hull, coverage_bound, covers, dist, one_center
+from .geometry import Disk, Point, convex_hull, coverage_bound, covers, dist, one_center, within_mask
 from .problem import Instance, Solution
 
 
@@ -132,11 +132,7 @@ def solve_spiral(
     rng = np.random.Generator(np.random.PCG64(seed))
 
     xy = np.array(pts, dtype=float)
-    # Superset windows for the exact tests they feed: local_cover drops every
-    # candidate farther than 2 * coverage_bound(r) from the anchor, and covers
-    # admits nothing past coverage_bound(r).  The 1e-6 widening absorbs any
-    # difference between np.hypot and math.hypot.
-    reach = coverage_bound(r) * (1.0 + 1e-6)
+    bound = coverage_bound(r)
     alive = np.ones(inst.k, dtype=bool)
     uncovered = np.arange(inst.k)
     carried: Optional[int] = None
@@ -146,7 +142,6 @@ def solve_spiral(
 
     while uncovered.size:
         sub = xy[uncovered]
-        ux, uy = sub[:, 0], sub[:, 1]
         boundary = uncovered[convex_hull(sub)].tolist()
         bset = set(boundary)
 
@@ -158,14 +153,14 @@ def solve_spiral(
             k0 = boundary[int(rng.integers(len(boundary)))]
 
         first = local_cover(pts[k0], [k0], [k for k in boundary if k != k0], inst)
-        near = uncovered[np.hypot(ux - pts[k0][0], uy - pts[k0][1]) <= 2.0 * reach]
+        # local_cover drops every candidate farther than 2 * bound from the
+        # anchor, so only those within it are handed over.
+        near = uncovered[within_mask(sub, pts[k0], 2.0 * bound)]
         inner = [k for k in near.tolist() if k not in bset]
         second = local_cover(first.center, first.covered, inner, inst)
         center = second.center
 
-        disk = Disk(center, r)
-        reached = uncovered[np.hypot(ux - center[0], uy - center[1]) <= reach]
-        newly = [k for k in reached.tolist() if covers(disk, pts[k])]
+        newly = uncovered[within_mask(sub, center, bound)].tolist()
         if not newly:
             raise RuntimeError("spiral placed a disk that covers no uncovered point")
         newly_set = set(newly)

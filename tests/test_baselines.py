@@ -17,12 +17,12 @@ from diskcover import (
     solve_spiral,
     solve_strip,
 )
-from diskcover import baselines
+from diskcover import baselines, bench
 from diskcover.exact import DEFAULT_NODE_LIMIT
 from diskcover.geometry import within_radius
-from diskcover.bench import generate_topology
+from diskcover.bench import Campaign, generate_topology, run_campaign
 
-from conftest import grid_point_lists, instances
+from conftest import HYPOT_SPLIT_PAIR, grid_point_lists, instances
 from oracles import kmeans_serial
 
 H = baselines.STRIP_HEIGHT_FACTOR
@@ -32,10 +32,9 @@ class TestTrialConfig:
     def test_defaults(self):
         cfg = TrialConfig()
         assert cfg.trials == 100
-        assert cfg.max_kmeans_iters == 100
         assert cfg.node_limit == DEFAULT_NODE_LIMIT
 
-    @pytest.mark.parametrize("kwargs", [{"trials": 0}, {"max_kmeans_iters": 0}])
+    @pytest.mark.parametrize("kwargs", [{"trials": 0}])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
             TrialConfig(**kwargs)
@@ -175,10 +174,10 @@ def kmeans_cases(draw):
     return Instance(points=pts, radius=r)
 
 
-def kmeans_with_block(inst, seed, cfg, block):
-    """solve_kmeans with the block budget set so that every block holds
-    exactly one trial (block=1), at least `block` trials, or all of them
-    (None)."""
+def kmeans_with_block(inst, seed, cfg, block, max_iters):
+    """solve_kmeans with at most `max_iters` batch passes per probe and the
+    block budget set so that every block holds exactly one trial (block=1),
+    at least `block` trials, or all of them (None)."""
     if block is None:
         budget = 1 << 40
     elif block == 1:
@@ -186,7 +185,9 @@ def kmeans_with_block(inst, seed, cfg, block):
     else:
         xy = np.asarray(inst.points, dtype=float)
         budget = block * len(xy) * (len(np.unique(xy, axis=0)) + baselines._KMEANS_ROW_TEMPS)
-    with mock.patch.object(baselines, "_KMEANS_BLOCK_ELEMS", budget):
+    with mock.patch.object(baselines, "_KMEANS_BLOCK_ELEMS", budget), mock.patch.object(
+        baselines, "KMEANS_MAX_ITERS", max_iters
+    ):
         return solve_kmeans(inst, seed, cfg)
 
 
@@ -208,8 +209,8 @@ class TestKmeansLockstep:
     )
     @settings(max_examples=40)
     def test_matches_serial_reference(self, block, inst, trials, max_iters, seed):
-        cfg = TrialConfig(trials=trials, max_kmeans_iters=max_iters)
-        sol = kmeans_with_block(inst, seed, cfg, block)
+        cfg = TrialConfig(trials=trials)
+        sol = kmeans_with_block(inst, seed, cfg, block, max_iters)
         centers, newly = kmeans_serial(inst.points, inst.radius, trials, seed, max_iters)
         assert sol.centers == centers
         assert sol.newly_covered == newly
@@ -220,8 +221,8 @@ class TestKmeansLockstep:
         # 11 trials: not a multiple of the 4-trial block, and enough rows in
         # one block for the refinement to drop stopped rows several times.
         inst = generate_topology(80, 1.0, 10408, radius=1.0 / ratio)
-        cfg = TrialConfig(trials=11, max_kmeans_iters=max_iters)
-        sol = kmeans_with_block(inst, 10408, cfg, block)
+        cfg = TrialConfig(trials=11)
+        sol = kmeans_with_block(inst, 10408, cfg, block, max_iters)
         centers, newly = serial_k80(ratio, max_iters)
         assert sol.centers == centers
         assert sol.newly_covered == newly
@@ -266,6 +267,20 @@ class TestBoxAcceptPath:
 
 
 class TestRandom:
+    @pytest.mark.parametrize("seed", range(20))
+    def test_pair_where_the_hypots_disagree(self, seed):
+        inst = Instance(points=HYPOT_SPLIT_PAIR, radius=1.0)
+        assert not solution_violations(inst, solve_random(inst, seed))
+
+    def test_pair_where_the_hypots_disagree_in_a_campaign(self):
+        inst = Instance(points=HYPOT_SPLIT_PAIR, radius=1.0)
+        campaign = Campaign(
+            k=2, side=1.0, ratios=[1.0], topologies=20, base_seed=0, algorithms=["random"]
+        )
+        with mock.patch.object(bench, "generate_topology", return_value=inst):
+            report = run_campaign(campaign)
+        assert [row.topology_seed for row in report.rows] == list(range(20))
+
     def test_single_point(self):
         inst = Instance(points=[(1.0, 1.0)], radius=0.5)
         sol = solve_random(inst, 0, TrialConfig(trials=2))

@@ -47,6 +47,16 @@ class TestGen:
         )
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize(
+        "flag,value", [("--side", "inf"), ("--radius", "inf"), ("--seed", "-1")]
+    )
+    def test_out_of_range_usage_error(self, tmp_path, capsys, flag, value):
+        argv = ["gen", "--k", "3", "--side", "1", "--radius", "1", "--seed", "0",
+                "--output", str(tmp_path / "x.json")]
+        argv[argv.index(flag) + 1] = value
+        assert main(argv) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("usage error:")
+
 
 class TestSolve:
     def test_spiral_single_disk(self, tmp_path):
@@ -111,6 +121,28 @@ class TestSolve:
     def test_unknown_algo_usage_error(self, tmp_path):
         inst_path = gen(tmp_path)
         assert main(["solve", "--algo", "dance", "--input", str(inst_path)]) == EXIT_USAGE
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ["--algo", "spiral", "--radius", "inf"],
+            ["--algo", "spiral", "--seed", "-1"],
+            ["--algo", "kmeans", "--trials", "0"],
+        ],
+    )
+    def test_out_of_range_usage_error(self, tmp_path, capsys, extra):
+        inst_path = gen(tmp_path)
+        assert main(["solve", "--input", str(inst_path), *extra]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("usage error:")
+
+    def test_value_error_inside_a_solver_is_not_a_usage_error(self, tmp_path, monkeypatch):
+        def fail(inst, seed, cfg):
+            raise ValueError("solver bug")
+
+        monkeypatch.setitem(SOLVERS, "spiral", fail)
+        inst_path = gen(tmp_path)
+        with pytest.raises(ValueError, match="solver bug"):
+            main(["solve", "--algo", "spiral", "--input", str(inst_path)])
 
     def test_missing_file_io_error(self, tmp_path):
         assert main(["solve", "--algo", "spiral", "--input",
@@ -205,6 +237,14 @@ class TestBench:
     def test_unknown_algo_usage_error(self, tmp_path):
         assert main(["bench", "--k", "5", "--ratios", "2", "--algos", "waltz",
                      "--output", str(tmp_path / "x")]) == EXIT_USAGE
+
+    @pytest.mark.parametrize(
+        "extra", [["--ratios", "2,inf"], ["--ratios", "nan"], ["--ratios", "2", "--seed", "-1"]]
+    )
+    def test_out_of_range_usage_error(self, tmp_path, capsys, extra):
+        argv = ["bench", "--k", "5", "--algos", "spiral", "--output", str(tmp_path / "x")]
+        assert main(argv + extra) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("usage error:")
 
 
 class TestEntryPoint:

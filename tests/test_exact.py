@@ -41,6 +41,11 @@ class TestGenerateCandidates:
         assert pruned[0].center == (1.0, 0.0)
         assert pruned[0].coverage == 0b11
 
+    @staticmethod
+    def covers_mask(inst, center):
+        disk = Disk(center, inst.radius)
+        return sum(1 << i for i, p in enumerate(inst.points) if covers(disk, p))
+
     def test_candidate_count_bound_and_coverage_validity(self):
         inst = generate_topology(12, 4.0, seed=9, radius=1.0)
         cands = generate_candidates(inst, prune=False)
@@ -48,10 +53,18 @@ class TestGenerateCandidates:
         assert len(cands) <= k + k * (k - 1)
         for c in cands:
             assert c.coverage != 0
-            disk = Disk(c.center, inst.radius)
-            for i in range(k):
-                if c.coverage >> i & 1:
-                    assert covers(disk, inst.points[i])
+            assert c.coverage == self.covers_mask(inst, c.center)
+
+    @pytest.mark.parametrize("scale,offset", [(1.0, 0.0), (1e-6, 1e3), (1e6, -1e9)])
+    def test_coverage_on_a_2r_lattice(self, scale, offset):
+        # Every pair of neighbours is exactly 2r apart, so each pair yields
+        # one candidate with both points on its boundary.
+        r = scale
+        pts = [(offset + 2 * r * i, offset + 2 * r * j) for i in range(5) for j in range(5)]
+        inst = Instance(points=pts, radius=r)
+        for prune in (False, True):
+            for c in generate_candidates(inst, prune=prune):
+                assert c.coverage == self.covers_mask(inst, c.center)
 
     def test_pruning_never_changes_optimum(self):
         for seed in range(8):

@@ -9,13 +9,15 @@ from diskcover.geometry import (
     Disk,
     _hull_candidates,
     convex_hull,
+    coverage_bound,
     covers,
     dist,
     one_center,
+    within_mask,
     within_radius,
 )
 
-from conftest import grid_point_lists, offsets, point_lists, scales
+from conftest import HYPOT_SPLIT_PAIR, grid_point_lists, offsets, point_lists, scales
 from oracles import brute_force_mec, convex_hull_serial, extreme_indices
 
 
@@ -300,3 +302,48 @@ class TestWithinRadius:
     def test_tolerance_edge(self):
         assert within_radius(1.0, 1.0 + 5e-10)
         assert not within_radius(1.0, 1.0 + 5e-9)
+
+
+@st.composite
+def circle_cases(draw):
+    """A center, a limit and up to 1000 points on the circle of radius
+    `limit` around it, each coordinate nudged 1 to 4 ulps either way after
+    the transform.
+
+    The two hypots round about 0.6% of distances differently, so the points
+    are many and drawn from a seeded generator.  The limit is then moved to
+    the distance of one of the points, give or take an ulp, so that some
+    distance rounds to it or next to it even far from the origin, where the
+    coordinates' ulps can exceed the limit's.
+    """
+    s, ox, oy = draw(scales), draw(offsets), draw(offsets)
+    limit = draw(st.floats(min_value=0.1, max_value=10.0)) * s
+    center = (ox + draw(unit_coordinate) * s, oy + draw(unit_coordinate) * s)
+    n = draw(st.integers(min_value=1, max_value=1000))
+    rng = np.random.Generator(np.random.PCG64(draw(st.integers(min_value=0, max_value=2**32))))
+    theta = rng.uniform(0.0, 2.0 * math.pi, n)
+    xy = np.column_stack((center[0] + limit * np.cos(theta), center[1] + limit * np.sin(theta)))
+    steps = rng.integers(1, 5, (n, 2)) * rng.choice([-1, 1], (n, 2))
+    for k in range(4):
+        xy = np.where(np.abs(steps) > k, np.nextafter(xy, steps * np.inf), xy)
+    pts = [(float(x), float(y)) for x, y in xy]
+    pin = draw(st.integers(min_value=0, max_value=n - 1))
+    limit = _nudged(dist(center, pts[pin]), draw(st.integers(min_value=-1, max_value=1)))
+    return center, limit, pts
+
+
+class TestWithinMask:
+    """The bulk test keeps or drops each row exactly as dist decides it."""
+
+    @given(circle_cases())
+    @settings(max_examples=300)
+    def test_decides_like_dist(self, case):
+        center, limit, pts = case
+        mask = within_mask(np.array(pts), center, limit)
+        assert mask.tolist() == [dist(center, p) <= limit for p in pts]
+
+    def test_pair_where_the_hypots_disagree(self):
+        pts = HYPOT_SPLIT_PAIR
+        limit = coverage_bound(1.0)
+        assert np.hypot(*pts[1]) <= limit < dist(pts[0], pts[1])
+        assert within_mask(np.array(pts), pts[0], limit).tolist() == [True, False]

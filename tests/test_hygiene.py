@@ -40,6 +40,33 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
+def public_names_unread(package: Path) -> list[str]:
+    """Names in the package's ``__all__`` that no other module of it reads.
+
+    A public name that only the tests call is API kept for the tests alone.
+    A name counts as read when it appears as a bare name being loaded in any
+    module of the package other than ``__init__.py``.
+    """
+    public: list[str] = []
+    for node in ast.walk(ast.parse((package / "__init__.py").read_text())):
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            public = ast.literal_eval(node.value)
+    read: set[str] = set()
+    for path in package.glob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+    return [name for name in public if name not in read]
+
+
+def test_every_public_name_is_read_by_the_package():
+    assert public_names_unread(ROOT / "src" / "diskcover") == []
+
+
 class TestUnusedImports:
     def test_flags_an_unread_import(self):
         assert unused_imports("import math\nfrom os import path as p\n") == [
@@ -58,3 +85,13 @@ class TestUnusedImports:
             "    return os.path.join('a', str(x))\n"
         )
         assert unused_imports(source) == []
+
+
+def test_flags_a_public_name_only_defined(tmp_path):
+    (tmp_path / "__init__.py").write_text(
+        "from .m import helper, used\n__all__ = ['helper', 'used']\n"
+    )
+    (tmp_path / "m.py").write_text(
+        "def used():\n    return 1\n\ndef helper():\n    return used()\n"
+    )
+    assert public_names_unread(tmp_path) == ["helper"]
