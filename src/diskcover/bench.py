@@ -68,8 +68,16 @@ class Campaign:
             raise ValueError("k must be >= 1")
         if not (math.isfinite(self.side) and self.side > 0):
             raise ValueError("side must be finite and positive")
-        if not self.ratios or not all(math.isfinite(x) and x > 0 for x in self.ratios):
-            raise ValueError("ratios must be finite and positive")
+        # Each ratio sets the radius side / ratio, which must be a valid
+        # Instance radius too: a tiny ratio overflows it to inf, a huge one
+        # underflows it to 0.
+        if not self.ratios or not all(
+            math.isfinite(x) and x > 0 and math.isfinite(self.side / x) and self.side / x > 0
+            for x in self.ratios
+        ):
+            raise ValueError(
+                "ratios must be finite and positive, with side / ratio finite and positive"
+            )
         if self.topologies < 1:
             raise ValueError("topologies must be >= 1")
         unknown = set(self.algorithms) - set(ALGORITHMS)

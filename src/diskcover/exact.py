@@ -31,12 +31,12 @@ class CandidateDisk:
     coverage: int  # bitmask over point indices
 
 
-def generate_candidates(inst: Instance, prune: bool = True) -> list[CandidateDisk]:
+def generate_candidates(inst: Instance) -> list[CandidateDisk]:
     """Candidate centers: every point, plus both radius-r circle centers per
     co-coverable pair (one center when the pair is exactly 2r apart).
 
-    With ``prune``, candidates whose coverage is a subset of another's are
-    dropped; equal coverages keep the earliest-emitted candidate.
+    Candidates whose coverage is a subset of another's are dropped; equal
+    coverages keep the earliest-emitted candidate.
     """
     r = inst.require_radius()
     pts = inst.points
@@ -72,24 +72,18 @@ def generate_candidates(inst: Instance, prune: bool = True) -> list[CandidateDis
             for c in centers:
                 cands.append(CandidateDisk(c, coverage_of(c)))
 
-    if prune:
-        order = sorted(range(len(cands)), key=lambda i: (-cands[i].coverage.bit_count(), i))
-        kept: list[int] = []
-        for i in order:
-            m = cands[i].coverage
-            if any(m | cands[j].coverage == cands[j].coverage for j in kept):
-                continue
-            kept.append(i)
-        kept.sort()
-        cands = [cands[i] for i in kept]
-    return cands
+    order = sorted(range(len(cands)), key=lambda i: (-cands[i].coverage.bit_count(), i))
+    kept: list[int] = []
+    for i in order:
+        m = cands[i].coverage
+        if any(m | cands[j].coverage == cands[j].coverage for j in kept):
+            continue
+        kept.append(i)
+    kept.sort()
+    return [cands[i] for i in kept]
 
 
-def min_cover(
-    inst: Instance,
-    node_limit: Optional[int] = None,
-    prune: bool = True,
-) -> Solution:
+def min_cover(inst: Instance, node_limit: Optional[int] = None) -> Solution:
     """Provably minimum number of radius-r disks covering every point.
 
     Branch and bound over the candidate disks: branch on an uncovered point
@@ -100,7 +94,7 @@ def min_cover(
     """
     t0 = time.perf_counter()
     limit = DEFAULT_NODE_LIMIT if node_limit is None else node_limit
-    cands = generate_candidates(inst, prune=prune)
+    cands = generate_candidates(inst)
     masks = [c.coverage for c in cands]
     k_total = inst.k
     full = (1 << k_total) - 1

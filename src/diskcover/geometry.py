@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
+import functools
 import math
 import random
-from typing import NamedTuple, Optional, Sequence, Union
+from typing import Iterable, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -28,6 +29,8 @@ _MEC_EPS = 1.0 + 1e-14
 # would let a hull vertex pass as interior.
 _HULL_MARGIN = 64.0
 _EPS = float(np.finfo(float).eps)
+# Swapping an edge's (x, y) and scaling by this gives its left normal (-y, x).
+_LEFT_NORMAL = np.array([-1.0, 1.0])
 # Rows: the directions -y, x - y, x, x + y, y, y - x, -x, -x - y, in
 # counterclockwise order; a projection onto one is x +- y rounded once.
 _EXTREME_DIRECTIONS = np.array(
@@ -79,9 +82,25 @@ def within_mask(xy: np.ndarray, center: Point, limit: float) -> np.ndarray:
     return mask
 
 
-def _cross(o: Point, a: Point, b: Point) -> float:
-    """Cross product of oa and ob; positive when o->a->b turns left."""
-    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+def _hull_margin(lo: Sequence[float], hi: Sequence[float]) -> float:
+    """The hull prefilter's margin, in cross-product units, for points whose
+    coordinates lie between the bounds ``lo`` and ``hi``."""
+    (lx, ly), (hx, hy) = lo, hi
+    extent = max(hx - lx, hy - ly)
+    magnitude = max(abs(lx), abs(ly), abs(hx), abs(hy))
+    return _HULL_MARGIN * _EPS * float(magnitude) * float(extent)
+
+
+def _inside_edges(xt: np.ndarray, a: np.ndarray, b: np.ndarray, margin: float) -> np.ndarray:
+    """Mask of the columns p of the ``(2, n)`` array ``xt`` that lie on the
+    inner (left) side of every edge ``a[i] -> b[i]`` by more than ``margin``.
+
+    The test ``(b - a) x (p - a) > margin`` is evaluated for all points at
+    once as ``normal . p > normal . a + margin``.
+    """
+    normal = (b - a)[:, ::-1] * _LEFT_NORMAL
+    offset = (normal * a).sum(axis=1) + margin
+    return (normal @ xt > offset[:, None]).all(axis=0)
 
 
 def _hull_candidates(xy: np.ndarray) -> np.ndarray:
@@ -94,28 +113,38 @@ def _hull_candidates(xy: np.ndarray) -> np.ndarray:
     hull.  With fewer than three distinct extremes nothing is dropped.
     """
     xt = np.ascontiguousarray(xy.T)
-    ext = xy[np.argmax(_EXTREME_DIRECTIONS @ xt, axis=1)]
+    ext = xy[np.argmax(_EXTREME_DIRECTIONS @ xt, axis=1)].tolist()
     verts: list[Point] = []
-    for v in map(tuple, ext.tolist()):
+    for v in map(tuple, ext):
         if not verts or v != verts[-1]:
             verts.append(v)
     if len(verts) > 1 and verts[0] == verts[-1]:
         verts.pop()
     if len(set(verts)) < 3:
         return np.arange(len(xy))
-    # ext holds the extremes along x and y, so its bounds are the input's.
-    lo, hi = ext.min(axis=0), ext.max(axis=0)
-    extent = float((hi - lo).max())
-    magnitude = float(np.maximum(np.abs(lo), np.abs(hi)).max())
-    margin = _HULL_MARGIN * _EPS * magnitude * extent
-    # Edge a -> b keeps p on its inner side when (b - a) x (p - a) > margin,
-    # evaluated as normal . p > normal . a + margin for all points at once.
+    # The extremes along x and y are among verts, so their bounds are the input's.
+    xs, ys = zip(*verts)
+    margin = _hull_margin((min(xs), min(ys)), (max(xs), max(ys)))
     a = np.array(verts)
-    e = np.roll(a, -1, axis=0) - a
-    normal = np.column_stack((-e[:, 1], e[:, 0]))
-    offset = (normal * a).sum(axis=1) + margin
-    inside = (normal @ xt > offset[:, None]).all(axis=0)
+    inside = _inside_edges(xt, a, np.concatenate((a[1:], a[:1])), margin)
     return np.flatnonzero(~inside)
+
+
+def _half_hull(xs: list[float], ys: list[float], positions: Iterable[int]) -> list[int]:
+    """One half of Andrew's monotone chain over the points at ``positions``:
+    pop the last point while o -> a -> p fails to turn left, that is while
+    (a - o) x (p - o) <= 0."""
+    out: list[int] = []
+    for i in positions:
+        px, py = xs[i], ys[i]
+        while len(out) >= 2:
+            o, a = out[-2], out[-1]
+            if (xs[a] - xs[o]) * (py - ys[o]) - (ys[a] - ys[o]) * (px - xs[o]) <= 0.0:
+                out.pop()
+            else:
+                break
+        out.append(i)
+    return out
 
 
 def convex_hull(points: Union[Sequence[Point], np.ndarray]) -> list[int]:
@@ -140,127 +169,136 @@ def convex_hull(points: Union[Sequence[Point], np.ndarray]) -> list[int]:
     if len(xy) == 0:
         raise ValueError("convex_hull: empty point list")
     keep = _hull_candidates(xy)
-    first_idx: dict[Point, int] = {}
-    for i, (px, py) in zip(keep.tolist(), xy[keep].tolist()):
-        q = (px, py)
-        if q not in first_idx:
-            first_idx[q] = i
-    uniq = sorted(first_idx)
-    if len(uniq) == 1:
-        return [first_idx[uniq[0]]]
-
-    lower: list[Point] = []
-    for p in uniq:
-        while len(lower) >= 2 and _cross(lower[-2], lower[-1], p) <= 0.0:
-            lower.pop()
-        lower.append(p)
-    upper: list[Point] = []
-    for p in reversed(uniq):
-        while len(upper) >= 2 and _cross(upper[-2], upper[-1], p) <= 0.0:
-            upper.pop()
-        upper.append(p)
-    ring = lower[:-1] + upper[:-1]
-
+    kx, ky = xy[keep, 0], xy[keep, 1]
+    # Sorted by x, then y; lexsort is stable, so each run of equal points
+    # starts with its lowest index, which stands for the run.
+    order = np.lexsort((ky, kx))
+    sx, sy = kx[order], ky[order]
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = (sx[1:] != sx[:-1]) | (sy[1:] != sy[:-1])
+    ids = keep[order[first]].tolist()
+    xs, ys = sx[first].tolist(), sy[first].tolist()
+    n = len(ids)
+    if n == 1:
+        return ids
+    ring = _half_hull(xs, ys, range(n))[:-1] + _half_hull(xs, ys, range(n - 1, -1, -1))[:-1]
     if len(ring) == 2:
-        i, j = first_idx[ring[0]], first_idx[ring[1]]
+        i, j = ids[ring[0]], ids[ring[1]]
         return [min(i, j), max(i, j)]
-    start = min(range(len(ring)), key=lambda i: (ring[i][1], ring[i][0]))
-    ring = ring[start:] + ring[:start]
-    return [first_idx[p] for p in ring]
+    start = min(range(len(ring)), key=lambda k: (ys[ring[k]], xs[ring[k]]))
+    return [ids[k] for k in ring[start:] + ring[:start]]
+
+
+@functools.lru_cache(maxsize=256)
+def _shuffle_order(n: int) -> tuple[int, ...]:
+    """Where ``random.Random(0x5EED5).shuffle`` moves the items of any n-list.
+
+    The shuffle's swaps depend on the list's length alone, so item ``i`` of
+    the shuffled list is item ``_shuffle_order(n)[i]`` of the input.
+    """
+    order = list(range(n))
+    random.Random(0x5EED5).shuffle(order)
+    return tuple(order)
 
 
 def one_center(points: Sequence[Point]) -> Disk:
     """Smallest disk containing every input point.
 
-    Incremental construction over a deterministically shuffled copy, so the
-    result is bit-identical across runs for identical input.  The returned
-    radius is the exact maximum center-to-point distance, hence
+    Incremental construction (Welzl 1991) over a deterministically shuffled
+    copy, so the result is bit-identical across runs for identical input.
+    The returned radius is the exact maximum center-to-point distance, hence
     ``dist(center, p) <= radius`` holds for every input point as computed by
     :func:`dist`.
     """
     if not points:
         raise ValueError("one_center: empty point list")
-    pts = [(float(p[0]), float(p[1])) for p in points]
-    random.Random(0x5EED5).shuffle(pts)
-
-    c: Optional[Disk] = None
-    for i, p in enumerate(pts):
-        if c is None or not _inside(c, p):
-            c = _mec_one_known(pts[: i + 1], p)
-    assert c is not None
-    radius = max(dist(c.center, q) for q in pts)
-    return Disk(c.center, radius)
-
-
-def _inside(c: Disk, p: Point) -> bool:
-    return dist(c.center, p) <= c.radius * _MEC_EPS
-
-
-def _mec_one_known(points: Sequence[Point], p: Point) -> Disk:
-    # Smallest disk over `points` with p known to be on the boundary.
-    c = Disk(p, 0.0)
-    for i, q in enumerate(points):
-        if not _inside(c, q):
-            if c.radius == 0.0:
-                c = _diameter_disk(p, q)
-            else:
-                c = _mec_two_known(points[: i + 1], p, q)
-    return c
+    pts = [points[i] for i in _shuffle_order(len(points))]
+    xs = [float(p[0]) for p in pts]
+    ys = [float(p[1]) for p in pts]
+    hypot = math.hypot
+    # The disk of the first point alone; each later point outside the
+    # current disk is on the boundary of the disk over the points so far.
+    cx, cy, cr = xs[0], ys[0], 0.0
+    lim = 0.0
+    for i in range(1, len(xs)):
+        px, py = xs[i], ys[i]
+        if hypot(cx - px, cy - py) > lim:
+            cx, cy, cr = _mec_one_known(xs, ys, i + 1, px, py)
+            lim = cr * _MEC_EPS
+    return Disk((cx, cy), max([hypot(cx - x, cy - y) for x, y in zip(xs, ys)]))
 
 
-def _mec_two_known(points: Sequence[Point], p: Point, q: Point) -> Disk:
-    # Smallest disk over `points` with p and q known to be on the boundary.
-    circ = _diameter_disk(p, q)
-    left: Optional[Disk] = None
-    right: Optional[Disk] = None
-    px, py = p
-    qx, qy = q
-    for s in points:
-        if _inside(circ, s):
+# The kernels below work on the shuffled coordinates as two lists, xs and ys,
+# and return a disk as (center x, center y, radius).
+_Circle = tuple[float, float, float]
+
+
+def _diameter_disk(px: float, py: float, qx: float, qy: float) -> _Circle:
+    cx = (px + qx) / 2.0
+    cy = (py + qy) / 2.0
+    d1, d2 = math.hypot(cx - px, cy - py), math.hypot(cx - qx, cy - qy)
+    return cx, cy, d2 if d2 > d1 else d1
+
+
+def _mec_one_known(xs: list[float], ys: list[float], m: int, px: float, py: float) -> _Circle:
+    # Smallest disk over the first m points with p known to be on the boundary.
+    hypot = math.hypot
+    cx, cy, cr = px, py, 0.0
+    lim = 0.0
+    for j in range(m):
+        qx, qy = xs[j], ys[j]
+        if hypot(cx - qx, cy - qy) <= lim:
             continue
-        cross = _cross(p, q, s)
-        c = _circumdisk(p, q, s)
-        if c is None:
-            continue
-        ccx, ccy = c.center
-        if cross > 0.0 and (
-            left is None
-            or _cross(p, q, (ccx, ccy)) > _cross(p, q, left.center)
-        ):
-            left = c
-        elif cross < 0.0 and (
-            right is None
-            or _cross(p, q, (ccx, ccy)) < _cross(p, q, right.center)
-        ):
-            right = c
-    if left is None and right is None:
-        return circ
-    if left is None:
-        assert right is not None
-        return right
-    if right is None:
-        return left
-    return left if left.radius <= right.radius else right
+        if cr == 0.0:
+            cx, cy, cr = _diameter_disk(px, py, qx, qy)
+        else:
+            cx, cy, cr = _mec_two_known(xs, ys, j + 1, px, py, qx, qy)
+        lim = cr * _MEC_EPS
+    return cx, cy, cr
 
 
-def _diameter_disk(a: Point, b: Point) -> Disk:
-    cx = (a[0] + b[0]) / 2.0
-    cy = (a[1] + b[1]) / 2.0
-    r = max(dist((cx, cy), a), dist((cx, cy), b))
-    return Disk((cx, cy), r)
-
-
-def _circumdisk(a: Point, b: Point, c: Point) -> Optional[Disk]:
-    # Translate by a for conditioning; None for a degenerate (collinear) triple.
-    bx, by = b[0] - a[0], b[1] - a[1]
-    cx, cy = c[0] - a[0], c[1] - a[1]
-    d = 2.0 * (bx * cy - by * cx)
-    if d == 0.0:
-        return None
+def _mec_two_known(
+    xs: list[float], ys: list[float], m: int, px: float, py: float, qx: float, qy: float
+) -> _Circle:
+    # Smallest disk over the first m points with p and q known to be on the
+    # boundary: the disk with diameter pq when it holds them all, else the
+    # smaller of the circumdisks through p, q and the point whose center lies
+    # farthest to each side of pq.
+    hypot = math.hypot
+    ox, oy, orad = _diameter_disk(px, py, qx, qy)
+    lim = orad * _MEC_EPS
+    bx, by = qx - px, qy - py
     b2 = bx * bx + by * by
-    c2 = cx * cx + cy * cy
-    ux = (cy * b2 - by * c2) / d
-    uy = (bx * c2 - cx * b2) / d
-    center = (a[0] + ux, a[1] + uy)
-    radius = max(dist(center, a), dist(center, b), dist(center, c))
-    return Disk(center, radius)
+    left = right = None
+    left_t = right_t = 0.0
+    for k in range(m):
+        sx, sy = xs[k], ys[k]
+        if hypot(ox - sx, oy - sy) <= lim:
+            continue
+        # Translated by p for conditioning; a collinear triple has no circumdisk.
+        cx, cy = sx - px, sy - py
+        cross = bx * cy - by * cx
+        if cross == 0.0:
+            continue
+        d = 2.0 * cross
+        c2 = cx * cx + cy * cy
+        zx = px + (cy * b2 - by * c2) / d
+        zy = py + (bx * c2 - cx * b2) / d
+        # How far the circumcenter lies to the left of pq, in cross units.
+        t = bx * (zy - py) - by * (zx - px)
+        if cross > 0.0:
+            if left is None or t > left_t:
+                left, left_t = (zx, zy, sx, sy), t
+        elif cross < 0.0 and (right is None or t < right_t):
+            right, right_t = (zx, zy, sx, sy), t
+    if left is None and right is None:
+        return ox, oy, orad
+    best = None
+    for side in (left, right):
+        if side is None:
+            continue
+        zx, zy, sx, sy = side
+        radius = max(hypot(zx - px, zy - py), hypot(zx - qx, zy - qy), hypot(zx - sx, zy - sy))
+        if best is None or radius < best[2]:
+            best = (zx, zy, radius)
+    return best

@@ -13,7 +13,19 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .geometry import Disk, Point, convex_hull, coverage_bound, covers, dist, one_center, within_mask
+from .geometry import (
+    Disk,
+    Point,
+    _hull_candidates,
+    _hull_margin,
+    _inside_edges,
+    convex_hull,
+    coverage_bound,
+    covers,
+    dist,
+    one_center,
+    within_mask,
+)
 from .problem import Instance, Solution
 
 
@@ -112,6 +124,48 @@ def local_cover(
     return LocalCoverResult(center=loc, covered=covered)
 
 
+def _hull_input(
+    xy: np.ndarray,
+    uncovered: np.ndarray,
+    sub: np.ndarray,
+    ring: Sequence[int],
+    alive: np.ndarray,
+    last_input: np.ndarray,
+    margin: float,
+) -> np.ndarray:
+    """Ascending indices of the uncovered points the next hull must be given.
+
+    ``sub`` holds the coordinates of ``uncovered``; ``ring`` is the previous
+    hull, ``last_input`` marks the points it was computed from and ``alive``
+    the points still uncovered.
+
+    The surviving vertices of ``ring`` are still hull vertices, and a point
+    strictly inside their polygon by ``margin`` is no hull vertex (the
+    rounding argument of the Akl-Toussaint prefilter in
+    :mod:`diskcover.geometry`).  Each edge of that polygon is an old hull edge
+    or a chord across removed vertices.  A point near an old hull edge was in
+    the previous input, since every prefilter polygon lies inside the hull.
+    So the chain needs only the previous input's survivors that are not
+    strictly inside the polygon, plus the uncovered points not strictly
+    inside some chord: only the chords are tested against every uncovered
+    point.  With fewer than three survivors the prefilter runs afresh.
+    """
+    pos = [i for i, k in enumerate(ring) if alive[k]]
+    if len(pos) < 3:
+        return uncovered[_hull_candidates(sub)]
+    # Edge e runs from survivor a[e] to the next one, b[e]; it is a chord
+    # when the ring had vertices between them.
+    a = xy[[ring[i] for i in pos]]
+    b = np.concatenate((a[1:], a[:1]))
+    chords = [e for e, (i, j) in enumerate(zip(pos, pos[1:] + pos[:1])) if (j - i) % len(ring) != 1]
+    keep = last_input[uncovered]
+    held = np.flatnonzero(keep)
+    keep[held] = ~_inside_edges(sub[held].T, a, b, margin)
+    if chords:
+        keep |= ~_inside_edges(sub.T, a[chords], b[chords], margin)
+    return uncovered[keep]
+
+
 def solve_spiral(
     inst: Instance,
     seed: int = 0,
@@ -139,10 +193,19 @@ def solve_spiral(
     centers: list[Point] = []
     newly_all: list[list[int]] = []
     steps: list[SpiralStep] = []
+    # The hull is carried from step to step: each step's hull input is
+    # derived from the previous one (see _hull_input).  The whole instance's
+    # margin is at least that of any subset, so it errs towards keeping.
+    margin = _hull_margin(xy.min(axis=0), xy.max(axis=0))
+    hull_input = np.zeros(inst.k, dtype=bool)
+    boundary: list[int] = []
 
     while uncovered.size:
         sub = xy[uncovered]
-        boundary = uncovered[convex_hull(sub)].tolist()
+        cand = _hull_input(xy, uncovered, sub, boundary, alive, hull_input, margin)
+        hull_input[:] = False
+        hull_input[cand] = True
+        boundary = cand[convex_hull(xy[cand])].tolist()
         bset = set(boundary)
 
         if carried is not None and carried in bset:

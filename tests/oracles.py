@@ -3,28 +3,42 @@
 Nothing here shares code paths with the package's solvers: hulls come from a
 triangle-containment test, enclosing disks from pair/triple enumeration, and
 minimum covers from exhaustive subset search, so each comparison is a genuine
-dual-route check.  The exceptions are the serial references at the end: the
-trial-by-trial k-means loop that the package's lockstep k-means replaced, and
+dual-route check.  The exceptions are the references at the end: the
+unpruned candidate generator that the oracle's pruning is checked against,
+the trial-by-trial k-means loop that the package's lockstep k-means replaced,
 the pure-Python monotone chain and spiral loop that the package's prefiltered
-hull and windowed spiral scans replaced.  They run on the same primitives, so
-each pair must agree bit for bit.
+hull and carried-hull spiral replaced, and the recursive enclosing-disk
+construction that the flat kernel replaced.  They run on the same primitives
+or the same arithmetic, so each pair must agree bit for bit.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import random
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from diskcover.geometry import Disk, coverage_bound, covers, one_center, within_radius
+from diskcover.exact import CandidateDisk
+from diskcover.geometry import (
+    Disk,
+    coverage_bound,
+    covers,
+    dist,
+    one_center,
+    within_mask,
+    within_radius,
+)
 from diskcover.problem import Instance, Solution
 from diskcover.spiral import SpiralStep, local_cover
 
 Point = tuple[float, float]
 
 _ENCLOSE_EPS = 1.0 + 1e-12
+# The enclosing-disk recursion's own slack, as in diskcover.geometry.
+_MEC_EPS = 1.0 + 1e-14
 
 
 def _orient(a: Point, b: Point, c: Point) -> float:
@@ -242,6 +256,51 @@ def grid_cover_masks(points: Sequence[Point], r: float, divisions: int = 50) -> 
 def min_grid_cover_size(points: Sequence[Point], r: float, divisions: int = 50) -> int:
     masks = grid_cover_masks(points, r, divisions)
     return min_cover_size_by_enumeration(masks, len(points))
+
+
+# --- Unpruned candidate reference ----------------------------------------
+
+
+def candidates_unpruned(inst: Instance) -> list[CandidateDisk]:
+    """Every candidate of :func:`diskcover.exact.generate_candidates`, in
+    emission order, before the pruning of dominated coverages: each point,
+    plus both radius-r circle centers per co-coverable pair (one center when
+    the pair is exactly 2r apart).
+    """
+    r = inst.require_radius()
+    pts = inst.points
+    k_total = inst.k
+    xy = np.array(pts, dtype=float)
+    bound = coverage_bound(r)
+
+    def coverage_of(center: Point) -> int:
+        # Bit k of the little-endian packing is point k.
+        bits = np.packbits(within_mask(xy, center, bound), bitorder="little")
+        return int.from_bytes(bits.tobytes(), "little")
+
+    cands: list[CandidateDisk] = []
+    for p in pts:
+        cands.append(CandidateDisk(p, coverage_of(p)))
+
+    pair_bound = 2.0 * bound
+    for i in range(k_total):
+        xi, yi = pts[i]
+        for j in range(i + 1, k_total):
+            d = dist(pts[i], pts[j])
+            if d == 0.0 or d > pair_bound:
+                continue
+            xj, yj = pts[j]
+            mx, my = (xi + xj) / 2.0, (yi + yj) / 2.0
+            h2 = r * r - (d / 2.0) ** 2
+            if h2 <= 0.0:
+                centers = [(mx, my)]
+            else:
+                h = math.sqrt(h2)
+                nx, ny = -(yj - yi) / d * h, (xj - xi) / d * h
+                centers = [(mx + nx, my + ny), (mx - nx, my - ny)]
+            for c in centers:
+                cands.append(CandidateDisk(c, coverage_of(c)))
+    return cands
 
 
 # --- Serial k-means reference -------------------------------------------
@@ -505,3 +564,106 @@ def spiral_serial(
         newly_covered=newly_all,
         trace=steps if keep_trace else None,
     )
+
+
+# --- Serial enclosing-disk reference -------------------------------------
+
+
+def one_center_serial(points: Sequence[Point]) -> Disk:
+    """The recursive enclosing-disk construction that the flat kernel replaced.
+
+    Same contract as :func:`diskcover.geometry.one_center`, and the same
+    operations in the same order, so the two must return equal disks.
+
+    Incremental construction over a deterministically shuffled copy, so the
+    result is bit-identical across runs for identical input.  The returned
+    radius is the exact maximum center-to-point distance, hence
+    ``dist(center, p) <= radius`` holds for every input point as computed by
+    :func:`dist`.
+    """
+    if not points:
+        raise ValueError("one_center: empty point list")
+    pts = [(float(p[0]), float(p[1])) for p in points]
+    random.Random(0x5EED5).shuffle(pts)
+
+    c: Optional[Disk] = None
+    for i, p in enumerate(pts):
+        if c is None or not _inside(c, p):
+            c = _mec_one_known(pts[: i + 1], p)
+    assert c is not None
+    radius = max(dist(c.center, q) for q in pts)
+    return Disk(c.center, radius)
+
+
+def _inside(c: Disk, p: Point) -> bool:
+    return dist(c.center, p) <= c.radius * _MEC_EPS
+
+
+def _mec_one_known(points: Sequence[Point], p: Point) -> Disk:
+    # Smallest disk over `points` with p known to be on the boundary.
+    c = Disk(p, 0.0)
+    for i, q in enumerate(points):
+        if not _inside(c, q):
+            if c.radius == 0.0:
+                c = _diameter_disk(p, q)
+            else:
+                c = _mec_two_known(points[: i + 1], p, q)
+    return c
+
+
+def _mec_two_known(points: Sequence[Point], p: Point, q: Point) -> Disk:
+    # Smallest disk over `points` with p and q known to be on the boundary.
+    circ = _diameter_disk(p, q)
+    left: Optional[Disk] = None
+    right: Optional[Disk] = None
+    px, py = p
+    qx, qy = q
+    for s in points:
+        if _inside(circ, s):
+            continue
+        cross = _orient(p, q, s)
+        c = _circumdisk(p, q, s)
+        if c is None:
+            continue
+        ccx, ccy = c.center
+        if cross > 0.0 and (
+            left is None
+            or _orient(p, q, (ccx, ccy)) > _orient(p, q, left.center)
+        ):
+            left = c
+        elif cross < 0.0 and (
+            right is None
+            or _orient(p, q, (ccx, ccy)) < _orient(p, q, right.center)
+        ):
+            right = c
+    if left is None and right is None:
+        return circ
+    if left is None:
+        assert right is not None
+        return right
+    if right is None:
+        return left
+    return left if left.radius <= right.radius else right
+
+
+def _diameter_disk(a: Point, b: Point) -> Disk:
+    cx = (a[0] + b[0]) / 2.0
+    cy = (a[1] + b[1]) / 2.0
+    r = max(dist((cx, cy), a), dist((cx, cy), b))
+    return Disk((cx, cy), r)
+
+
+def _circumdisk(a: Point, b: Point, c: Point) -> Optional[Disk]:
+    # Translate by a for conditioning; None for a degenerate (collinear) triple.
+    bx, by = b[0] - a[0], b[1] - a[1]
+    cx, cy = c[0] - a[0], c[1] - a[1]
+    d = 2.0 * (bx * cy - by * cx)
+    if d == 0.0:
+        return None
+    b2 = bx * bx + by * by
+    c2 = cx * cx + cy * cy
+    ux = (cy * b2 - by * c2) / d
+    uy = (bx * c2 - cx * b2) / d
+    center = (a[0] + ux, a[1] + uy)
+    radius = max(dist(center, a), dist(center, b), dist(center, c))
+    return Disk(center, radius)

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import time
 from pathlib import Path
 
@@ -143,11 +144,36 @@ class TestRunCampaign:
             assert report.mean_m("oracle", ratio) <= report.mean_m("spiral", ratio)
 
 
+class TestCampaignArguments:
+    @pytest.mark.parametrize(
+        "side,ratio",
+        [
+            (1.0, 0.0),
+            (1.0, -2.0),
+            (1.0, float("nan")),
+            (1.0, float("inf")),
+            (1.0, 1e-320),  # side / ratio overflows to inf
+            (1e300, 1e-10),  # likewise
+            (1e-300, 1e300),  # side / ratio underflows to 0
+        ],
+    )
+    def test_rejects_a_ratio_without_a_valid_radius(self, side, ratio):
+        with pytest.raises(ValueError, match="side / ratio"):
+            small_campaign(side=side, ratios=[2.0, ratio])
+
+    def test_accepts_extreme_ratios_with_a_valid_radius(self):
+        for side, ratio in [(1.0, 1e-300), (1e-300, 1e-8), (1.0, 1e300)]:
+            assert math.isfinite(side / ratio) and side / ratio > 0
+            assert small_campaign(side=side, ratios=[ratio]).ratios == [ratio]
+
+
 class TestTracerHooks:
     def test_tracer_sees_every_solver(self, monkeypatch):
-        # The benchmark's tracer wraps solver names in diskcover.bench.  A
-        # solver table that held the functions themselves would bypass the
-        # wrappers and leave the per-layer metrics at zero.
+        # The benchmark's tracer wraps solver names in diskcover.bench and
+        # the kernels' names in the modules that call them.  A solver table
+        # that held the functions themselves, or a kernel reached other than
+        # through those module attributes, would bypass the wrappers and
+        # leave the per-layer metrics at zero.
         monkeypatch.syspath_prepend(str(PERFBENCH))
         import tracer
 
@@ -166,6 +192,9 @@ class TestTracerHooks:
             "baselines.solve_kmeans",
             "baselines.solve_random",
             "exact.min_cover",
+            "geometry.one_center",
+            "geometry.convex_hull",
+            "spiral.local_cover",
         } <= recorded
 
 

@@ -239,7 +239,13 @@ class TestBench:
                      "--output", str(tmp_path / "x")]) == EXIT_USAGE
 
     @pytest.mark.parametrize(
-        "extra", [["--ratios", "2,inf"], ["--ratios", "nan"], ["--ratios", "2", "--seed", "-1"]]
+        "extra",
+        [
+            ["--ratios", "2,inf"],
+            ["--ratios", "nan"],
+            ["--ratios", "2", "--seed", "-1"],
+            ["--ratios", "1e-320"],  # side / ratio overflows to an infinite radius
+        ],
     )
     def test_out_of_range_usage_error(self, tmp_path, capsys, extra):
         argv = ["bench", "--k", "5", "--algos", "spiral", "--output", str(tmp_path / "x")]

@@ -18,6 +18,7 @@ from diskcover.bench import generate_topology
 
 from conftest import instances
 from oracles import (
+    candidates_unpruned,
     grid_cover_masks,
     min_cover_size_by_combinations,
     min_cover_size_by_enumeration,
@@ -34,7 +35,7 @@ class TestGenerateCandidates:
 
     def test_tangent_pair_collapses_to_midpoint(self):
         inst = Instance(points=[(0.0, 0.0), (2.0, 0.0)], radius=1.0)
-        unpruned = generate_candidates(inst, prune=False)
+        unpruned = candidates_unpruned(inst)
         assert len(unpruned) == 3  # two singletons plus the midpoint
         pruned = generate_candidates(inst)
         assert len(pruned) == 1
@@ -48,10 +49,10 @@ class TestGenerateCandidates:
 
     def test_candidate_count_bound_and_coverage_validity(self):
         inst = generate_topology(12, 4.0, seed=9, radius=1.0)
-        cands = generate_candidates(inst, prune=False)
+        cands = candidates_unpruned(inst)
         k = inst.k
         assert len(cands) <= k + k * (k - 1)
-        for c in cands:
+        for c in cands + generate_candidates(inst):
             assert c.coverage != 0
             assert c.coverage == self.covers_mask(inst, c.center)
 
@@ -62,14 +63,19 @@ class TestGenerateCandidates:
         r = scale
         pts = [(offset + 2 * r * i, offset + 2 * r * j) for i in range(5) for j in range(5)]
         inst = Instance(points=pts, radius=r)
-        for prune in (False, True):
-            for c in generate_candidates(inst, prune=prune):
-                assert c.coverage == self.covers_mask(inst, c.center)
+        for c in candidates_unpruned(inst) + generate_candidates(inst):
+            assert c.coverage == self.covers_mask(inst, c.center)
 
     def test_pruning_never_changes_optimum(self):
         for seed in range(8):
             inst = generate_topology(8, 3.0, seed=seed, radius=1.0)
-            assert min_cover(inst, prune=True).m == min_cover(inst, prune=False).m
+            unpruned = candidates_unpruned(inst)
+            pruned = generate_candidates(inst)
+            # Pruning keeps a subset, in emission order, that dominates the rest.
+            assert [c for c in unpruned if c in pruned] == pruned
+            assert all(any(c.coverage | p.coverage == p.coverage for p in pruned) for c in unpruned)
+            masks = [c.coverage for c in unpruned]
+            assert min_cover(inst).m == min_cover_size_by_enumeration(masks, inst.k)
 
 
 class TestMinCover:

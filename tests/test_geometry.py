@@ -18,7 +18,7 @@ from diskcover.geometry import (
 )
 
 from conftest import HYPOT_SPLIT_PAIR, grid_point_lists, offsets, point_lists, scales
-from oracles import brute_force_mec, convex_hull_serial, extreme_indices
+from oracles import brute_force_mec, convex_hull_serial, extreme_indices, one_center_serial
 
 
 def uniform_points(n, seed, scale=1.0):
@@ -293,6 +293,66 @@ class TestOneCenter:
             assert again.radius == pytest.approx(disk.radius, rel=1e-9)
             assert again.center[0] == pytest.approx(disk.center[0], abs=1e-9)
             assert again.center[1] == pytest.approx(disk.center[1], abs=1e-9)
+
+
+def _circle_lattice(r2):
+    """The integer points on the circle x**2 + y**2 == r2."""
+    m = math.isqrt(r2)
+    span = range(-m, m + 1)
+    return [(float(x), float(y)) for x in span for y in span if x * x + y * y == r2]
+
+
+@st.composite
+def disk_cases(draw):
+    """Point sets for the enclosing-disk kernel, transformed far from the unit box.
+
+    Families: a uniform cloud; a small integer lattice (duplicates and
+    collinear runs); points on one line; points of an integer lattice on one
+    circle (every support triple cocircular).  Coordinates may be nudged one
+    to four ulps either way after the transform, and drawn points are copied
+    to drawn positions.
+    """
+    kind = draw(st.sampled_from(["cloud", "lattice", "collinear", "cocircular"]))
+    n = draw(st.integers(min_value=1, max_value=200))
+    if kind == "cloud":
+        pts = draw(st.lists(st.tuples(unit_coordinate, unit_coordinate), min_size=n, max_size=n))
+    elif kind == "lattice":
+        m = draw(st.integers(min_value=0, max_value=4))
+        cell = st.integers(min_value=-m, max_value=m).map(float)
+        pts = draw(st.lists(st.tuples(cell, cell), min_size=n, max_size=n))
+    elif kind == "collinear":
+        dx, dy = draw(
+            st.tuples(st.integers(-3, 3), st.integers(-3, 3)).filter(lambda d: d != (0, 0))
+        )
+        ts = draw(st.lists(st.integers(-50, 50), min_size=n, max_size=n))
+        pts = [(float(t * dx), float(t * dy)) for t in ts]
+    else:
+        circle = _circle_lattice(draw(st.sampled_from([1, 25, 65, 325, 1105])))
+        pts = draw(st.lists(st.sampled_from(circle), min_size=1, max_size=n))
+    s, ox, oy = draw(scales), draw(offsets), draw(offsets)
+    pts = [(x * s + ox, y * s + oy) for x, y in pts]
+    if draw(st.booleans()):
+        nudge = st.integers(min_value=-4, max_value=4)
+        pts = [(_nudged(x, draw(nudge)), _nudged(y, draw(nudge))) for x, y in pts]
+    for _ in range(draw(st.integers(min_value=0, max_value=10))):
+        src = draw(st.integers(0, len(pts) - 1))
+        pts.insert(draw(st.integers(0, len(pts))), pts[src])
+    return pts
+
+
+class TestOneCenterMatchesSerial:
+    """The flat kernel returns exactly the disk of the recursive construction."""
+
+    @given(disk_cases())
+    @settings(max_examples=300)
+    def test_same_disk_as_serial(self, pts):
+        assert one_center(pts) == one_center_serial(pts)
+
+    @pytest.mark.parametrize("offset", [0.0, 1e9])
+    def test_uniform_clouds_of_every_size(self, offset):
+        for n in range(1, 120):
+            pts = [(x + offset, y - offset) for x, y in uniform_points(n, seed=700 + n)]
+            assert one_center(pts) == one_center_serial(pts)
 
 
 class TestWithinRadius:

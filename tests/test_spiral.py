@@ -289,6 +289,7 @@ def assert_same_as_serial(inst, **kwargs):
     assert got.centers == want.centers
     assert got.newly_covered == want.newly_covered
     assert got.trace == want.trace
+    return got
 
 
 class TestSpiralMatchesSerial:
@@ -308,6 +309,42 @@ class TestSpiralMatchesSerial:
     def test_k2000_cell(self, deterministic_start):
         inst = generate_topology(2000, 1.0, 6000, radius=1.0 / 50.0)
         assert_same_as_serial(inst, seed=6000, deterministic_start=deterministic_start)
+
+    @pytest.mark.parametrize("offset", [0.0, 1e9])
+    @pytest.mark.parametrize("deterministic_start", [True, False])
+    def test_strip_cut_into_pieces(self, offset, deterministic_start):
+        # A tilted strip 1.2r wide and 120r long: a disk placed across it
+        # covers hull vertices on both long sides, so one step removes
+        # non-adjacent runs of the previous hull, and the next hull is
+        # carried across a chord over each run.
+        rng = np.random.Generator(np.random.PCG64(17))
+        c, s = np.cos(0.3), np.sin(0.3)
+        strip = rng.random((600, 2)) * (120.0, 1.2)
+        pts = [(offset + x * c - y * s, offset + x * s + y * c) for x, y in strip]
+        inst = make_inst(pts, 1.0)
+        sol = assert_same_as_serial(inst, seed=17, deterministic_start=deterministic_start)
+
+        def removed_runs(step):
+            newly = set(step.newly)
+            gone = [k in newly for k in step.boundary]
+            return sum(1 for i in range(len(gone)) if gone[i] and not gone[i - 1])
+
+        assert len(sol.trace) > 50
+        assert sum(1 for step in sol.trace if removed_runs(step) >= 2) >= 5
+
+    @pytest.mark.parametrize("offset", [0.0, 1e3, 1e6, 1e9])
+    @pytest.mark.parametrize("deterministic_start", [True, False])
+    def test_points_along_a_chord(self, offset, deterministic_start):
+        # Fifty points along the segment from A to B, beyond which a vertex
+        # V bulges out, so the first hulls skip them.  Once a disk takes V,
+        # the next hull is carried across a chord that runs along them, and
+        # rounding puts each of them on either side of it.
+        for seed in range(6):
+            rng = np.random.Generator(np.random.PCG64(seed))
+            shape = [(0.0, 0.0), (40.0, 28.0), (23.0, 8.0), (10.0, 40.0), (35.0, 45.0)]
+            shape += [(40.0 * t, 28.0 * t) for t in np.sort(rng.random(50))]
+            inst = make_inst([(offset + x, offset + y) for x, y in shape], 1.0)
+            assert_same_as_serial(inst, seed=seed, deterministic_start=deterministic_start)
 
     def test_lattice_contacts_at_exactly_r(self):
         # Spacing 2r: every disk can take a pair whose points sit exactly r
