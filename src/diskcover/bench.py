@@ -101,7 +101,6 @@ class BenchReport:
     ratios: list[float]
     algorithms: list[str]
     rows: list[BenchRow]
-    generator: str = GENERATOR_NAME
 
     def cell_rows(self, algorithm: str, ratio: float) -> list[BenchRow]:
         return [r for r in self.rows if r.algorithm == algorithm and r.ratio == ratio]
@@ -117,7 +116,7 @@ class BenchReport:
         return sum(r.runtime_ms for r in rows) / len(rows)
 
 
-def run_campaign(c: Campaign, progress: Optional[Callable[[str], None]] = None) -> BenchReport:
+def run_campaign(c: Campaign) -> BenchReport:
     """Execute the sweep: every ratio x topology x algorithm cell.
 
     Each topology uses seed ``base_seed + index``; stochastic baselines derive
@@ -158,9 +157,6 @@ def run_campaign(c: Campaign, progress: Optional[Callable[[str], None]] = None) 
                         runtime_ms=runtime_ms,
                     )
                 )
-                if progress is not None:
-                    shown = "unproven" if m is None else m
-                    progress(f"ratio={ratio} seed={seed} {algorithm}: M={shown}")
     return BenchReport(
         k=c.k, ratios=list(c.ratios), algorithms=list(c.algorithms), rows=rows
     )
@@ -198,7 +194,7 @@ def aggregate_csv(report: BenchReport) -> str:
 def report_json(report: BenchReport) -> str:
     doc = {
         "k": report.k,
-        "generator": report.generator,
+        "generator": GENERATOR_NAME,
         "ratios": report.ratios,
         "algorithms": report.algorithms,
         "rows": [

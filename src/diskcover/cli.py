@@ -6,7 +6,7 @@ import argparse
 import sys
 from dataclasses import replace
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .baselines import TrialConfig
 from .bench import (
@@ -177,7 +177,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
+def main(argv: Sequence[str]) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -203,7 +203,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 
 def run() -> None:
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))
 
 
 if __name__ == "__main__":

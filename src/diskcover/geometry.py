@@ -21,22 +21,9 @@ ABS_TOL = 1e-12
 # Internal slack for the enclosing-disk recursion only.
 _MEC_EPS = 1.0 + 1e-14
 
-# The hull prefilter drops a point only when it sits inside the extreme
-# polygon by more than _HULL_MARGIN * _EPS * (largest |coordinate|) * (extent)
-# in cross-product units.  It evaluates each edge test untranslated, as
-# normal . p > normal . a, whose rounding grows with the coordinates'
-# magnitude: at offsets such as UTM coordinates a margin of extent**2 alone
-# would let a hull vertex pass as interior.
-_HULL_MARGIN = 64.0
-_EPS = float(np.finfo(float).eps)
-# Swapping an edge's (x, y) and scaling by this gives its left normal (-y, x).
-_LEFT_NORMAL = np.array([-1.0, 1.0])
-# Rows: the directions -y, x - y, x, x + y, y, y - x, -x, -x - y, in
-# counterclockwise order; a projection onto one is x +- y rounded once.
-_EXTREME_DIRECTIONS = np.array(
-    [[0.0, -1.0], [1.0, -1.0], [1.0, 0.0], [1.0, 1.0],
-     [0.0, 1.0], [-1.0, 1.0], [-1.0, 0.0], [-1.0, -1.0]]
-)
+# Shewchuk's (1997) stage-A bound, (3 + 16 eps) eps with eps = 2**-53: an
+# orientation determinant left - right above it times |left| + |right| has the exact sign.
+_ORIENT_BOUND = (3.0 + 16.0 * 2.0**-53) * 2.0**-53
 
 
 class Disk(NamedTuple):
@@ -82,64 +69,28 @@ def within_mask(xy: np.ndarray, center: Point, limit: float) -> np.ndarray:
     return mask
 
 
-def _hull_margin(lo: Sequence[float], hi: Sequence[float]) -> float:
-    """The hull prefilter's margin, in cross-product units, for points whose
-    coordinates lie between the bounds ``lo`` and ``hi``."""
-    (lx, ly), (hx, hy) = lo, hi
-    extent = max(hx - lx, hy - ly)
-    magnitude = max(abs(lx), abs(ly), abs(hx), abs(hy))
-    return _HULL_MARGIN * _EPS * float(magnitude) * float(extent)
-
-
-def _inside_edges(xt: np.ndarray, a: np.ndarray, b: np.ndarray, margin: float) -> np.ndarray:
-    """Mask of the columns p of the ``(2, n)`` array ``xt`` that lie on the
-    inner (left) side of every edge ``a[i] -> b[i]`` by more than ``margin``.
-
-    The test ``(b - a) x (p - a) > margin`` is evaluated for all points at
-    once as ``normal . p > normal . a + margin``.
-    """
-    normal = (b - a)[:, ::-1] * _LEFT_NORMAL
-    offset = (normal * a).sum(axis=1) + margin
-    return (normal @ xt > offset[:, None]).all(axis=0)
-
-
-def _hull_candidates(xy: np.ndarray) -> np.ndarray:
-    """Ascending indices of the points not strictly inside the extreme polygon.
-
-    Akl & Toussaint (1978): the extremes along the eight directions of
-    _EXTREME_DIRECTIONS, taken in that order, are hull vertices in
-    counterclockwise order.  A point on the inner side of every edge of their
-    polygon by more than the rounding of a cross product is interior to the
-    hull.  With fewer than three distinct extremes nothing is dropped.
-    """
-    xt = np.ascontiguousarray(xy.T)
-    ext = xy[np.argmax(_EXTREME_DIRECTIONS @ xt, axis=1)].tolist()
-    verts: list[Point] = []
-    for v in map(tuple, ext):
-        if not verts or v != verts[-1]:
-            verts.append(v)
-    if len(verts) > 1 and verts[0] == verts[-1]:
-        verts.pop()
-    if len(set(verts)) < 3:
-        return np.arange(len(xy))
-    # The extremes along x and y are among verts, so their bounds are the input's.
-    xs, ys = zip(*verts)
-    margin = _hull_margin((min(xs), min(ys)), (max(xs), max(ys)))
-    a = np.array(verts)
-    inside = _inside_edges(xt, a, np.concatenate((a[1:], a[:1])), margin)
-    return np.flatnonzero(~inside)
-
-
 def _half_hull(xs: list[float], ys: list[float], positions: Iterable[int]) -> list[int]:
     """One half of Andrew's monotone chain over the points at ``positions``:
     pop the last point while o -> a -> p fails to turn left, that is while
-    (a - o) x (p - o) <= 0."""
+    (a - o) x (p - o) <= 0, by its exact sign (a wrong sign on nearly
+    collinear points can keep one point in both halves of the chain)."""
     out: list[int] = []
     for i in positions:
         px, py = xs[i], ys[i]
         while len(out) >= 2:
             o, a = out[-2], out[-1]
-            if (xs[a] - xs[o]) * (py - ys[o]) - (ys[a] - ys[o]) * (px - xs[o]) <= 0.0:
+            ox, oy, ax, ay = xs[o], ys[o], xs[a], ys[a]
+            left = (ax - ox) * (py - oy)
+            right = (ay - oy) * (px - ox)
+            det = left - right
+            if abs(det) <= _ORIENT_BOUND * (abs(left) + abs(right)):
+                # Exactly, in integers: a float is n / q with q a power of
+                # two, so over the largest q all six coordinates are integers.
+                q = [v.as_integer_ratio() for v in (ox, oy, ax, ay, px, py)]
+                d = max(b for _, b in q)
+                iox, ioy, iax, iay, ipx, ipy = [n * (d // b) for n, b in q]
+                det = (iax - iox) * (ipy - ioy) - (iay - ioy) * (ipx - iox)
+            if det <= 0:
                 out.pop()
             else:
                 break
@@ -152,31 +103,26 @@ def convex_hull(points: Union[Sequence[Point], np.ndarray]) -> list[int]:
 
     ``points`` is a sequence of (x, y) pairs or an ``(n, 2)`` float array.
     Only extreme points are listed: collinear boundary points are dropped.
-    Duplicate coordinates collapse to the lowest index.  For three or more
-    hull vertices the listing starts at the bottom-most (then left-most)
-    vertex; a degenerate input (all points collinear) yields the two extreme
-    indices, lower index first, and a single distinct point yields [index].
+    Duplicate coordinates collapse to the lowest index, and no index is
+    listed twice.  For three or more hull vertices the listing starts at the
+    bottom-most (then left-most) vertex; a degenerate input (all points
+    collinear) yields the two extreme indices, lower index first, and a
+    single distinct point yields [index].
 
-    Before the monotone chain runs, an Akl-Toussaint prefilter drops the
-    points strictly inside the polygon of the extremes along x, y, x + y and
-    x - y.  That leaves the output unchanged: a dropped point lies inside by
-    a margin well above the rounding of any cross product, so the chain would
-    pop it and never keep it as a vertex; every point on or near the boundary
-    survives, and survivors keep their input order, so duplicates of a vertex
-    still collapse to the lowest index.
+    Andrew's monotone chain over every input point, with exact orientation
+    signs.  A caller that can rule out interior points cheaply passes only the
+    rest: the spiral runs an Akl-Toussaint prefilter first.
     """
     xy = np.asarray(points, dtype=float)
     if len(xy) == 0:
         raise ValueError("convex_hull: empty point list")
-    keep = _hull_candidates(xy)
-    kx, ky = xy[keep, 0], xy[keep, 1]
     # Sorted by x, then y; lexsort is stable, so each run of equal points
     # starts with its lowest index, which stands for the run.
-    order = np.lexsort((ky, kx))
-    sx, sy = kx[order], ky[order]
+    order = np.lexsort((xy[:, 1], xy[:, 0]))
+    sx, sy = xy[order, 0], xy[order, 1]
     first = np.ones(len(order), dtype=bool)
     first[1:] = (sx[1:] != sx[:-1]) | (sy[1:] != sy[:-1])
-    ids = keep[order[first]].tolist()
+    ids = order[first].tolist()
     xs, ys = sx[first].tolist(), sy[first].tolist()
     n = len(ids)
     if n == 1:

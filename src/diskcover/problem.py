@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .geometry import Disk, Point, covers
@@ -68,7 +68,6 @@ class Solution:
     centers: list[Point]
     newly_covered: list[list[int]]
     runtime: float = 0.0
-    trace: Optional[list] = field(default=None, repr=False, compare=False)
 
     @property
     def m(self) -> int:

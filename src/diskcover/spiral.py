@@ -9,24 +9,31 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
 from .geometry import (
-    Disk,
-    Point,
-    _hull_candidates,
-    _hull_margin,
-    _inside_edges,
-    convex_hull,
-    coverage_bound,
-    covers,
-    dist,
-    one_center,
-    within_mask,
+    Disk, Point, convex_hull, coverage_bound, covers, dist, one_center, within_mask,
 )
 from .problem import Instance, Solution
+
+# The hull prefilter drops a point only when it sits inside the extreme
+# polygon by more than _HULL_MARGIN * _EPS * (largest |coordinate|) * (extent)
+# in cross-product units.  It evaluates each edge test untranslated, as
+# normal . p > normal . a, whose rounding grows with the coordinates'
+# magnitude: at offsets such as UTM coordinates a margin of extent**2 alone
+# would let a hull vertex pass as interior.
+_HULL_MARGIN = 64.0
+_EPS = float(np.finfo(float).eps)
+# Swapping an edge's (x, y) and scaling by this gives its left normal (-y, x).
+_LEFT_NORMAL = np.array([-1.0, 1.0])
+# Rows: the directions -y, x - y, x, x + y, y, y - x, -x, -x - y, in
+# counterclockwise order; a projection onto one is x +- y rounded once.
+_EXTREME_DIRECTIONS = np.array(
+    [[0.0, -1.0], [1.0, -1.0], [1.0, 0.0], [1.0, 1.0],
+     [0.0, 1.0], [-1.0, 1.0], [-1.0, 0.0], [-1.0, -1.0]]
+)
 
 
 class ContractError(ValueError):
@@ -41,7 +48,13 @@ class LocalCoverResult:
 
 @dataclass
 class SpiralStep:
-    """Per-iteration trace record for invariant checks and debugging."""
+    """One disk of the spiral, as :func:`spiral_steps` yields it.
+
+    ``boundary`` is the hull of the uncovered points, counterclockwise;
+    ``k0`` the anchor taken from it; ``newly_boundary`` the points committed
+    while growing over the hull (the anchor first); ``newly`` every
+    uncovered point the placed disk at ``center`` covers.
+    """
 
     k0: int
     boundary: list[int]
@@ -124,6 +137,57 @@ def local_cover(
     return LocalCoverResult(center=loc, covered=covered)
 
 
+def _hull_margin(lo: Sequence[float], hi: Sequence[float]) -> float:
+    """The hull prefilter's margin, in cross-product units, for points whose
+    coordinates lie between the bounds ``lo`` and ``hi``."""
+    (lx, ly), (hx, hy) = lo, hi
+    extent = max(hx - lx, hy - ly)
+    magnitude = max(abs(lx), abs(ly), abs(hx), abs(hy))
+    return _HULL_MARGIN * _EPS * float(magnitude) * float(extent)
+
+
+def _inside_edges(xt: np.ndarray, a: np.ndarray, b: np.ndarray, margin: float) -> np.ndarray:
+    """Mask of the columns p of the ``(2, n)`` array ``xt`` that lie on the
+    inner (left) side of every edge ``a[i] -> b[i]`` by more than ``margin``.
+
+    The test ``(b - a) x (p - a) > margin`` is evaluated for all points at
+    once as ``normal . p > normal . a + margin``.
+    """
+    normal = (b - a)[:, ::-1] * _LEFT_NORMAL
+    offset = (normal * a).sum(axis=1) + margin
+    return (normal @ xt > offset[:, None]).all(axis=0)
+
+
+def _hull_candidates(xy: np.ndarray) -> np.ndarray:
+    """Ascending indices of the points not strictly inside the extreme polygon.
+
+    Akl & Toussaint (1978): the extremes along the eight directions of
+    _EXTREME_DIRECTIONS, taken in that order, are hull vertices in
+    counterclockwise order.  A point on the inner side of every edge of their
+    polygon by more than the rounding of a cross product is strictly interior
+    to the hull, so :func:`convex_hull` would never list it.  Every point on
+    or near the boundary survives, in input order, so duplicates of a vertex
+    still collapse to the lowest index.  With fewer than three distinct
+    extremes nothing is dropped.
+    """
+    xt = np.ascontiguousarray(xy.T)
+    ext = xy[np.argmax(_EXTREME_DIRECTIONS @ xt, axis=1)].tolist()
+    verts: list[Point] = []
+    for v in map(tuple, ext):
+        if not verts or v != verts[-1]:
+            verts.append(v)
+    if len(verts) > 1 and verts[0] == verts[-1]:
+        verts.pop()
+    if len(set(verts)) < 3:
+        return np.arange(len(xy))
+    # The extremes along x and y are among verts, so their bounds are the input's.
+    xs, ys = zip(*verts)
+    margin = _hull_margin((min(xs), min(ys)), (max(xs), max(ys)))
+    a = np.array(verts)
+    inside = _inside_edges(xt, a, np.concatenate((a[1:], a[:1])), margin)
+    return np.flatnonzero(~inside)
+
+
 def _hull_input(
     xy: np.ndarray,
     uncovered: np.ndarray,
@@ -141,14 +205,14 @@ def _hull_input(
 
     The surviving vertices of ``ring`` are still hull vertices, and a point
     strictly inside their polygon by ``margin`` is no hull vertex (the
-    rounding argument of the Akl-Toussaint prefilter in
-    :mod:`diskcover.geometry`).  Each edge of that polygon is an old hull edge
-    or a chord across removed vertices.  A point near an old hull edge was in
-    the previous input, since every prefilter polygon lies inside the hull.
-    So the chain needs only the previous input's survivors that are not
-    strictly inside the polygon, plus the uncovered points not strictly
-    inside some chord: only the chords are tested against every uncovered
-    point.  With fewer than three survivors the prefilter runs afresh.
+    rounding argument of :func:`_hull_candidates`).  Each edge of that
+    polygon is an old hull edge or a chord across removed vertices.  A point
+    near an old hull edge was in the previous input, since every prefilter
+    polygon lies inside the hull.  So the chain needs only the previous
+    input's survivors that are not strictly inside the polygon, plus the
+    uncovered points not strictly inside some chord: only the chords are
+    tested against every uncovered point.  With fewer than three survivors
+    the prefilter runs afresh.
     """
     pos = [i for i, k in enumerate(ring) if alive[k]]
     if len(pos) < 3:
@@ -166,23 +230,20 @@ def _hull_input(
     return uncovered[keep]
 
 
-def solve_spiral(
-    inst: Instance,
-    seed: int = 0,
-    deterministic_start: bool = True,
-    keep_trace: bool = False,
-) -> Solution:
-    """Cover every point with radius-r disks placed along the shrinking perimeter.
+def spiral_steps(
+    inst: Instance, seed: int = 0, deterministic_start: bool = True
+) -> Iterator[SpiralStep]:
+    """Place radius-r disks along the shrinking perimeter, yielding each step.
 
     With ``deterministic_start`` the first anchor of each sweep is the
     bottom-most (then left-most) hull point, making the output bit-identical
     across runs; otherwise the anchor is drawn uniformly from the hull points
     using ``seed``.  Subsequent anchors follow the counterclockwise walk from
-    the previous anchor over the hull points that remain uncovered.
+    the previous anchor over the hull points that remain uncovered.  The
+    steps' ``newly`` lists partition the point indices.
     """
     r = inst.require_radius()
     pts = inst.points
-    t0 = time.perf_counter()
     rng = np.random.Generator(np.random.PCG64(seed))
 
     xy = np.array(pts, dtype=float)
@@ -190,9 +251,6 @@ def solve_spiral(
     alive = np.ones(inst.k, dtype=bool)
     uncovered = np.arange(inst.k)
     carried: Optional[int] = None
-    centers: list[Point] = []
-    newly_all: list[list[int]] = []
-    steps: list[SpiralStep] = []
     # The hull is carried from step to step: each step's hull input is
     # derived from the previous one (see _hull_input).  The whole instance's
     # margin is at least that of any subset, so it errs towards keeping.
@@ -226,35 +284,34 @@ def solve_spiral(
         newly = uncovered[within_mask(sub, center, bound)].tolist()
         if not newly:
             raise RuntimeError("spiral placed a disk that covers no uncovered point")
-        newly_set = set(newly)
-        centers.append(center)
-        newly_all.append(newly)
         alive[newly] = False
         uncovered = uncovered[alive[uncovered]]
 
-        carried = None
+        # The next anchor: the first hull point after k0, counterclockwise,
+        # that this disk left uncovered.
         pos = boundary.index(k0)
-        for off in range(1, len(boundary)):
-            cand = boundary[(pos + off) % len(boundary)]
-            if cand not in newly_set:
-                carried = cand
-                break
-        if keep_trace:
-            steps.append(
-                SpiralStep(
-                    k0=k0,
-                    boundary=boundary,
-                    newly_boundary=list(first.covered),
-                    newly=newly,
-                    center=center,
-                )
-            )
+        carried = next((k for k in boundary[pos + 1 :] + boundary[:pos] if alive[k]), None)
+        yield SpiralStep(
+            k0=k0,
+            boundary=boundary,
+            newly_boundary=list(first.covered),
+            newly=newly,
+            center=center,
+        )
 
+
+def solve_spiral(inst: Instance, seed: int = 0, deterministic_start: bool = True) -> Solution:
+    """Cover every point with the disks of :func:`spiral_steps`."""
+    t0 = time.perf_counter()
+    centers: list[Point] = []
+    newly_all: list[list[int]] = []
+    for step in spiral_steps(inst, seed, deterministic_start):
+        centers.append(step.center)
+        newly_all.append(step.newly)
     return Solution(
         algorithm="spiral",
         seed=seed,
         centers=centers,
         newly_covered=newly_all,
         runtime=time.perf_counter() - t0,
-        trace=steps if keep_trace else None,
     )

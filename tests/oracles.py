@@ -6,17 +6,19 @@ minimum covers from exhaustive subset search, so each comparison is a genuine
 dual-route check.  The exceptions are the references at the end: the
 unpruned candidate generator that the oracle's pruning is checked against,
 the trial-by-trial k-means loop that the package's lockstep k-means replaced,
-the pure-Python monotone chain and spiral loop that the package's prefiltered
-hull and carried-hull spiral replaced, and the recursive enclosing-disk
+the monotone chain over every point and the spiral loop that the spiral's
+prefiltered, carried hull replaced, and the recursive enclosing-disk
 construction that the flat kernel replaced.  They run on the same primitives
 or the same arithmetic, so each pair must agree bit for bit.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
+from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -31,7 +33,7 @@ from diskcover.geometry import (
     within_mask,
     within_radius,
 )
-from diskcover.problem import Instance, Solution
+from diskcover.problem import Instance
 from diskcover.spiral import SpiralStep, local_cover
 
 Point = tuple[float, float]
@@ -455,12 +457,33 @@ def kmeans_serial(points: Sequence[Point], r: float, trials: int, seed: int, max
 # --- Serial hull and spiral references -----------------------------------
 
 
+# Nearly collinear runs test the same coordinates over and over.
+_fraction = functools.lru_cache(maxsize=4096)(Fraction)
+
+
+def _orient_exact(a: Point, b: Point, c: Point):
+    """:func:`_orient` with its sign made exact: rationals decide every
+    determinant within a relative 1e-6 of zero.  The band is far wider than
+    the float error, so it also checks the package's narrower one.
+
+    ``|left + right|`` is ``|left| + |right|`` when the two share a sign;
+    otherwise their difference cannot be near zero."""
+    (ax, ay), (bx, by), (cx, cy) = a, b, c
+    left = (bx - ax) * (cy - ay)
+    right = (by - ay) * (cx - ax)
+    det = left - right
+    if abs(det) <= 1e-6 * abs(left + right):
+        ax, ay, bx, by, cx, cy = map(_fraction, (ax, ay, bx, by, cx, cy))
+        det = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
+    return det
+
+
 def convex_hull_serial(points: Sequence[Point]) -> list[int]:
     """The monotone chain over every input point, with no prefilter.
 
     Same contract as :func:`diskcover.geometry.convex_hull`: strict hull,
     counterclockwise from the bottom-most (then left-most) vertex, duplicates
-    collapsed to the lowest index.
+    collapsed to the lowest index, orientations decided exactly.
     """
     if not points:
         raise ValueError("convex_hull: empty point list")
@@ -475,12 +498,12 @@ def convex_hull_serial(points: Sequence[Point]) -> list[int]:
 
     lower: list[Point] = []
     for p in uniq:
-        while len(lower) >= 2 and _orient(lower[-2], lower[-1], p) <= 0.0:
+        while len(lower) >= 2 and _orient_exact(lower[-2], lower[-1], p) <= 0:
             lower.pop()
         lower.append(p)
     upper: list[Point] = []
     for p in reversed(uniq):
-        while len(upper) >= 2 and _orient(upper[-2], upper[-1], p) <= 0.0:
+        while len(upper) >= 2 and _orient_exact(upper[-2], upper[-1], p) <= 0:
             upper.pop()
         upper.append(p)
     ring = lower[:-1] + upper[:-1]
@@ -494,11 +517,8 @@ def convex_hull_serial(points: Sequence[Point]) -> list[int]:
 
 
 def spiral_serial(
-    inst: Instance,
-    seed: int = 0,
-    deterministic_start: bool = True,
-    keep_trace: bool = False,
-) -> Solution:
+    inst: Instance, seed: int = 0, deterministic_start: bool = True
+) -> list[SpiralStep]:
     """The spiral loop with every uncovered point passed to each step.
 
     Each step takes the serial hull of all uncovered points, hands every
@@ -511,8 +531,6 @@ def spiral_serial(
 
     uncovered = list(range(inst.k))
     carried: Optional[int] = None
-    centers: list[Point] = []
-    newly_all: list[list[int]] = []
     steps: list[SpiralStep] = []
 
     while uncovered:
@@ -535,8 +553,6 @@ def spiral_serial(
         disk = Disk(center, r)
         newly = [k for k in uncovered if covers(disk, pts[k])]
         newly_set = set(newly)
-        centers.append(center)
-        newly_all.append(newly)
         uncovered = [k for k in uncovered if k not in newly_set]
 
         carried = None
@@ -546,24 +562,16 @@ def spiral_serial(
             if cand not in newly_set:
                 carried = cand
                 break
-        if keep_trace:
-            steps.append(
-                SpiralStep(
-                    k0=k0,
-                    boundary=boundary,
-                    newly_boundary=list(first.covered),
-                    newly=newly,
-                    center=center,
-                )
+        steps.append(
+            SpiralStep(
+                k0=k0,
+                boundary=boundary,
+                newly_boundary=list(first.covered),
+                newly=newly,
+                center=center,
             )
-
-    return Solution(
-        algorithm="spiral",
-        seed=seed,
-        centers=centers,
-        newly_covered=newly_all,
-        trace=steps if keep_trace else None,
-    )
+        )
+    return steps
 
 
 # --- Serial enclosing-disk reference -------------------------------------

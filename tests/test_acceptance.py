@@ -31,6 +31,7 @@ from diskcover import (
 from diskcover.bench import generate_topology
 from diskcover.files import emit_instance, parse_instance
 from diskcover.geometry import dist
+from diskcover.spiral import spiral_steps
 
 from conftest import grid_point_lists, instances
 from oracles import (
@@ -300,8 +301,7 @@ class TestCriterion7Invariants:
     def test_anchor_always_in_boundary_commit(self):
         for t in range(10):
             inst = generate_topology(60, 3.0, 300 + t, radius=0.5)
-            sol = solve_spiral(inst, seed=300 + t, keep_trace=True)
-            for step in sol.trace:
+            for step in spiral_steps(inst, seed=300 + t):
                 assert step.k0 in step.newly_boundary
 
     @given(grid_point_lists(min_size=2, max_size=12), st.floats(min_value=0.5, max_value=20.0))

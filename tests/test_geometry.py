@@ -7,7 +7,6 @@ import hypothesis.strategies as st
 
 from diskcover.geometry import (
     Disk,
-    _hull_candidates,
     convex_hull,
     coverage_bound,
     covers,
@@ -16,6 +15,7 @@ from diskcover.geometry import (
     within_mask,
     within_radius,
 )
+from diskcover.spiral import _hull_candidates
 
 from conftest import HYPOT_SPLIT_PAIR, grid_point_lists, offsets, point_lists, scales
 from oracles import brute_force_mec, convex_hull_serial, extreme_indices, one_center_serial
@@ -95,6 +95,17 @@ class TestConvexHull:
     def test_duplicates_keep_lowest_index(self):
         hull = convex_hull([(0.0, 0.0), (1.0, 0.0), (0.0, 0.0), (0.0, 1.0), (1.0, 0.0)])
         assert set(hull) == {0, 1, 3}
+
+    def test_nearly_collinear_triple_listed_once(self):
+        # Three points on the line y = 0.7x up to rounding.  A float
+        # orientation sign kept the middle one in both halves of the chain,
+        # and the hull came back as [0, 1, 2, 1].
+        pts = [
+            (13.997495992890192, 9.798247195023134),
+            (14.151674544782718, 9.906172181347902),
+            (35.93819000800909, 25.156733005606362),
+        ]
+        assert convex_hull(pts) == convex_hull_serial(pts) == [0, 1, 2]
 
     def test_matches_extreme_point_oracle_seed7(self):
         pts = uniform_points(20, seed=7)
@@ -196,8 +207,16 @@ def hull_cases(draw):
     return pts
 
 
+def prefiltered_hull(pts):
+    """The hull as the spiral computes it: the chain over the prefilter's survivors."""
+    xy = np.array(pts)
+    keep = _hull_candidates(xy)
+    return keep[convex_hull(xy[keep])].tolist()
+
+
 class TestHullMatchesSerial:
-    """The prefiltered hull lists exactly what the plain monotone chain does."""
+    """The monotone chain lists exactly what the serial chain does, with and
+    without the spiral's prefilter in front of it."""
 
     @given(hull_cases())
     @settings(max_examples=400)
@@ -205,12 +224,15 @@ class TestHullMatchesSerial:
         want = convex_hull_serial(pts)
         assert convex_hull(pts) == want
         assert convex_hull(np.array(pts)) == want
+        assert prefiltered_hull(pts) == want
 
     @pytest.mark.parametrize("offset", [0.0, 1e6, 1e9])
     @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
     def test_uniform_cloud_at_offset_and_scale(self, offset, scale):
         pts = [(x * scale + offset, y * scale - offset) for x, y in uniform_points(2000, seed=61)]
-        assert convex_hull(pts) == convex_hull_serial(pts)
+        want = convex_hull_serial(pts)
+        assert convex_hull(pts) == want
+        assert prefiltered_hull(pts) == want
 
     def test_prefilter_drops_the_interior(self):
         xy = np.array(uniform_points(2000, seed=62))
@@ -230,6 +252,7 @@ class TestHullMatchesSerial:
         hull = convex_hull_serial(pts)
         pts = pts[: hull[2]] + [pts[hull[2]]] + pts[hull[2] :]  # copy in front
         assert convex_hull(pts) == convex_hull_serial(pts)
+        assert prefiltered_hull(pts) == convex_hull_serial(pts)
         assert hull[2] in convex_hull(pts)
 
 

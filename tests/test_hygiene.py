@@ -67,6 +67,62 @@ def test_every_public_name_is_read_by_the_package():
     assert public_names_unread(ROOT / "src" / "diskcover") == []
 
 
+def unpassed_keywords(package: Path, callers: list[Path]) -> list[str]:
+    """Defaulted parameters of the package's public functions that no call passes.
+
+    A public function is a module-level ``def`` whose name has no leading
+    underscore.  A parameter with a default counts as passed when a call in
+    the package or under ``callers`` names the function and gives it, by
+    keyword or at its position.  A call names the function when it calls it
+    directly or hands it on as an argument, as in ``call(span, fn, *args)``;
+    then the arguments after it are the function's.  Matching is by name.
+    """
+    defaulted: list[tuple[str, str, int, str]] = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if not isinstance(node, ast.FunctionDef) or node.name.startswith("_"):
+                continue
+            params = node.args.posonlyargs + node.args.args
+            first = len(params) - len(node.args.defaults)
+            for i, arg in enumerate(params[first:], first):
+                defaulted.append((path.stem, node.name, i, arg.arg))
+            for arg, default in zip(node.args.kwonlyargs, node.args.kw_defaults):
+                if default is not None:
+                    defaulted.append((path.stem, node.name, -1, arg.arg))
+
+    def name_of(node: ast.AST) -> str:
+        if isinstance(node, ast.Name):
+            return node.id
+        return node.attr if isinstance(node, ast.Attribute) else ""
+
+    positions: dict[str, int] = {}
+    keywords: dict[str, set[str]] = {}
+    paths = list(package.glob("*.py")) + [p for d in callers for p in d.rglob("*.py")]
+    for path in paths:
+        for call in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(call, ast.Call):
+                continue
+            named = [(name_of(call.func), call.args)]
+            named += [(name_of(a), call.args[i + 1 :]) for i, a in enumerate(call.args)]
+            for fn, args in named:
+                if not fn:
+                    continue
+                starred = [i for i, a in enumerate(args) if isinstance(a, ast.Starred)]
+                given = starred[0] if starred else len(args)
+                positions[fn] = max(positions.get(fn, 0), given)
+                keywords.setdefault(fn, set()).update(k.arg for k in call.keywords if k.arg)
+    return [
+        f"{module}.{fn}: {arg}"
+        for module, fn, i, arg in defaulted
+        if arg not in keywords.get(fn, set()) and not 0 <= i < positions.get(fn, 0)
+    ]
+
+
+def test_every_keyword_parameter_is_passed():
+    # perfbench is a real caller: it passes solve_spiral's deterministic_start.
+    assert unpassed_keywords(ROOT / "src" / "diskcover", [ROOT / "perfbench"]) == []
+
+
 class TestUnusedImports:
     def test_flags_an_unread_import(self):
         assert unused_imports("import math\nfrom os import path as p\n") == [
@@ -95,3 +151,18 @@ def test_flags_a_public_name_only_defined(tmp_path):
         "def used():\n    return 1\n\ndef helper():\n    return used()\n"
     )
     assert public_names_unread(tmp_path) == ["helper"]
+
+
+def test_flags_a_keyword_no_call_passes(tmp_path):
+    package, callers = tmp_path / "pkg", tmp_path / "callers"
+    package.mkdir()
+    callers.mkdir()
+    (package / "m.py").write_text(
+        "def solve(inst, seed=0, keep=False, *, verbose=False):\n    return inst\n\n"
+        "def _helper(flag=False):\n    return flag\n\n"
+        "def run(rest):\n    return solve(1, *rest), _helper()\n"
+    )
+    (callers / "c.py").write_text("call('span', solve, 1, verbose=True)\n")
+    assert unpassed_keywords(package, [callers]) == ["m.solve: seed", "m.solve: keep"]
+    (callers / "d.py").write_text("solve(1, 2, keep=True)\n")
+    assert unpassed_keywords(package, [callers]) == []

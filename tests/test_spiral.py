@@ -12,6 +12,7 @@ from diskcover import (
     solve_spiral,
 )
 from diskcover.exact import min_cover
+from diskcover.spiral import spiral_steps
 from diskcover.geometry import Disk, coverage_bound, covers, dist, within_radius
 from diskcover.bench import generate_topology
 
@@ -226,10 +227,8 @@ class TestSolveSpiralProperties:
     def test_trace_invariants_on_reference_density(self):
         for t in range(6):
             inst = generate_topology(60, 3.0, 700 + t, radius=0.5)
-            sol = solve_spiral(inst, seed=700 + t, keep_trace=True)
-            assert sol.trace is not None
             uncovered = set(range(inst.k))
-            for step in sol.trace:
+            for step in spiral_steps(inst, seed=700 + t):
                 # The anchor is a hull point of the uncovered set and is
                 # committed during the boundary phase.
                 assert step.k0 in step.boundary
@@ -243,8 +242,7 @@ class TestSolveSpiralProperties:
         # Uncovered hull points stay hull points after a disk is removed.
         for t in range(6):
             inst = generate_topology(50, 3.0, 900 + t, radius=0.6)
-            sol = solve_spiral(inst, seed=900 + t, keep_trace=True)
-            steps = sol.trace
+            steps = list(spiral_steps(inst, seed=900 + t))
             for prev, nxt in zip(steps, steps[1:]):
                 survivors = set(prev.boundary) - set(prev.newly)
                 assert survivors <= set(nxt.boundary)
@@ -284,12 +282,12 @@ def spiral_cases(draw):
 
 
 def assert_same_as_serial(inst, **kwargs):
-    got = solve_spiral(inst, keep_trace=True, **kwargs)
-    want = spiral_serial(inst, keep_trace=True, **kwargs)
-    assert got.centers == want.centers
-    assert got.newly_covered == want.newly_covered
-    assert got.trace == want.trace
-    return got
+    steps = list(spiral_steps(inst, **kwargs))
+    assert steps == spiral_serial(inst, **kwargs)
+    sol = solve_spiral(inst, **kwargs)
+    assert sol.centers == [step.center for step in steps]
+    assert sol.newly_covered == [step.newly for step in steps]
+    return steps
 
 
 class TestSpiralMatchesSerial:
@@ -322,15 +320,15 @@ class TestSpiralMatchesSerial:
         strip = rng.random((600, 2)) * (120.0, 1.2)
         pts = [(offset + x * c - y * s, offset + x * s + y * c) for x, y in strip]
         inst = make_inst(pts, 1.0)
-        sol = assert_same_as_serial(inst, seed=17, deterministic_start=deterministic_start)
+        steps = assert_same_as_serial(inst, seed=17, deterministic_start=deterministic_start)
 
         def removed_runs(step):
             newly = set(step.newly)
             gone = [k in newly for k in step.boundary]
             return sum(1 for i in range(len(gone)) if gone[i] and not gone[i - 1])
 
-        assert len(sol.trace) > 50
-        assert sum(1 for step in sol.trace if removed_runs(step) >= 2) >= 5
+        assert len(steps) > 50
+        assert sum(1 for step in steps if removed_runs(step) >= 2) >= 5
 
     @pytest.mark.parametrize("offset", [0.0, 1e3, 1e6, 1e9])
     @pytest.mark.parametrize("deterministic_start", [True, False])
@@ -345,6 +343,20 @@ class TestSpiralMatchesSerial:
             shape += [(40.0 * t, 28.0 * t) for t in np.sort(rng.random(50))]
             inst = make_inst([(offset + x, offset + y) for x, y in shape], 1.0)
             assert_same_as_serial(inst, seed=seed, deterministic_start=deterministic_start)
+
+    @pytest.mark.parametrize("deterministic_start", [True, False])
+    def test_hull_of_points_along_a_line_lists_each_once(self, deterministic_start):
+        # 200 points along the segment from (0, 0) to (40, 28).  With a float
+        # orientation sign one step's hull listed a point twice, and
+        # local_cover rejected the step's repeated candidate.
+        rng = np.random.Generator(np.random.PCG64(4))
+        shape = [(0.0, 0.0), (40.0, 28.0), (23.0, 8.0)]
+        shape += [(40.0 * t, 28.0 * t) for t in np.sort(rng.random(200))]
+        inst = make_inst(shape + [(10.0, 40.0), (35.0, 45.0)], 1.0)
+        steps = assert_same_as_serial(inst, seed=4, deterministic_start=deterministic_start)
+        assert all(len(set(step.boundary)) == len(step.boundary) for step in steps)
+        sol = solve_spiral(inst, seed=4, deterministic_start=deterministic_start)
+        assert not solution_violations(inst, sol)
 
     def test_lattice_contacts_at_exactly_r(self):
         # Spacing 2r: every disk can take a pair whose points sit exactly r
