@@ -45,7 +45,7 @@ def solve_strip(inst: Instance, seed: int = 0) -> Solution:
     other strips are never considered by a disk, which is the strip scheme's
     defining restriction.  Fully deterministic; `seed` is only recorded.
     """
-    r = inst.require_radius()
+    r = inst.radius
     pts = inst.points
     t0 = time.perf_counter()
 
@@ -381,7 +381,7 @@ def solve_kmeans(inst: Instance, seed: int = 0, cfg: Optional[TrialConfig] = Non
     running the trials one after another.
     """
     cfg = cfg or TrialConfig()
-    r = inst.require_radius()
+    r = inst.radius
     t0 = time.perf_counter()
     xy = np.asarray(inst.points, dtype=float)
     # Distinct positions by set, not np.unique, which imports numpy.ma (about
@@ -454,7 +454,7 @@ def solve_kmeans(inst: Instance, seed: int = 0, cfg: Optional[TrialConfig] = Non
 def solve_random(inst: Instance, seed: int = 0, cfg: Optional[TrialConfig] = None) -> Solution:
     """Best of `trials` passes that stack disks on uniformly drawn uncovered points."""
     cfg = cfg or TrialConfig()
-    r = inst.require_radius()
+    r = inst.radius
     t0 = time.perf_counter()
     xy = np.asarray(inst.points, dtype=float)
     k_total = len(xy)

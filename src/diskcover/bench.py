@@ -35,7 +35,7 @@ ALGORITHMS = tuple(SOLVERS)
 RAW_CSV_HEADER = "algorithm,k,ratio,topology_seed,M,runtime_ms"
 
 
-def generate_topology(k: int, side: float, seed: int, radius: Optional[float] = None) -> Instance:
+def generate_topology(k: int, side: float, seed: int, radius: float) -> Instance:
     """k points drawn i.i.d. uniform on [0, side]^2 from PCG64(seed).
 
     Draw order is row-major: point i consumes draws 2i (x) and 2i+1 (y), so

@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -38,7 +37,7 @@ def generate_candidates(inst: Instance) -> list[CandidateDisk]:
     Candidates whose coverage is a subset of another's are dropped; equal
     coverages keep the earliest-emitted candidate.
     """
-    r = inst.require_radius()
+    r = inst.radius
     pts = inst.points
     k_total = inst.k
     xy = np.array(pts, dtype=float)
@@ -83,7 +82,7 @@ def generate_candidates(inst: Instance) -> list[CandidateDisk]:
     return [cands[i] for i in kept]
 
 
-def min_cover(inst: Instance, node_limit: Optional[int] = None) -> Solution:
+def min_cover(inst: Instance, node_limit: int = DEFAULT_NODE_LIMIT) -> Solution:
     """Provably minimum number of radius-r disks covering every point.
 
     Branch and bound over the candidate disks: branch on an uncovered point
@@ -93,7 +92,6 @@ def min_cover(inst: Instance, node_limit: Optional[int] = None) -> Solution:
     nodes are expanded; it never silently returns a suboptimal cover.
     """
     t0 = time.perf_counter()
-    limit = DEFAULT_NODE_LIMIT if node_limit is None else node_limit
     cands = generate_candidates(inst)
     masks = [c.coverage for c in cands]
     k_total = inst.k
@@ -122,9 +120,9 @@ def min_cover(inst: Instance, node_limit: Optional[int] = None) -> Solution:
     def dfs(covered: int, chosen: list[int]) -> None:
         nonlocal nodes, best_sel, best_m
         nodes += 1
-        if nodes > limit:
+        if nodes > node_limit:
             raise BudgetExceededError(
-                f"exceeded {limit} search nodes (incumbent {best_m} unproven)"
+                f"exceeded {node_limit} search nodes (incumbent {best_m} unproven)"
             )
         if covered == full:
             if len(chosen) < best_m:

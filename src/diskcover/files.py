@@ -88,7 +88,7 @@ def parse_instance(text: str) -> Instance:
 
 
 def emit_instance(inst: Instance) -> str:
-    parts = [f'  "radius": {_fmt(inst.require_radius())}']
+    parts = [f'  "radius": {_fmt(inst.radius)}']
     if inst.region_side is not None:
         parts.append(f'  "region_side": {_fmt(inst.region_side)}')
     rows = ",\n".join(f"    [{_fmt(x)}, {_fmt(y)}]" for x, y in inst.points)

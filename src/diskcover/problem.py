@@ -13,13 +13,13 @@ from .geometry import Disk, Point, covers
 class Instance:
     """The points to cover plus the common coverage radius.
 
-    ``radius`` may be left unset by topology generators; every solver
-    requires it.  ``region_side`` is metadata describing the square the
-    points were drawn from (used by benchmarks and the SVG renderer).
+    ``radius`` is finite and positive.  ``region_side`` is metadata
+    describing the square the points were drawn from (used by benchmarks and
+    the SVG renderer).
     """
 
     points: list[Point]
-    radius: Optional[float] = None
+    radius: float
     region_side: Optional[float] = None
 
     def __post_init__(self) -> None:
@@ -32,10 +32,9 @@ class Instance:
                 raise ValueError(f"non-finite point coordinates: {p!r}")
             coerced.append((x, y))
         self.points = coerced
-        if self.radius is not None:
-            self.radius = float(self.radius)
-            if not (math.isfinite(self.radius) and self.radius > 0.0):
-                raise ValueError(f"radius must be finite and positive: {self.radius}")
+        self.radius = float(self.radius)
+        if not (math.isfinite(self.radius) and self.radius > 0.0):
+            raise ValueError(f"radius must be finite and positive: {self.radius}")
         if self.region_side is not None:
             self.region_side = float(self.region_side)
             if not (math.isfinite(self.region_side) and self.region_side > 0.0):
@@ -44,11 +43,6 @@ class Instance:
     @property
     def k(self) -> int:
         return len(self.points)
-
-    def require_radius(self) -> float:
-        if self.radius is None:
-            raise ValueError("Instance has no coverage radius set")
-        return self.radius
 
     def with_radius(self, radius: float) -> "Instance":
         return Instance(points=list(self.points), radius=radius, region_side=self.region_side)
@@ -78,8 +72,6 @@ def solution_violations(inst: Instance, sol: Solution) -> list[str]:
     """Every way `sol` fails the coverage contract for `inst` (empty = feasible)."""
     problems: list[str] = []
     r = inst.radius
-    if r is None:
-        return ["instance has no radius to verify against"]
     if len(sol.centers) != len(sol.newly_covered):
         problems.append("centers and newly_covered lengths differ")
         return problems

@@ -80,10 +80,13 @@ def local_cover(
 
     Returns the final location and the committed indices (in admission
     order).  Raises :class:`ContractError` when the preconditions fail: prio
-    empty, prio/sec overlapping, prio not coverable by one radius-r disk, or
-    `u` not covering all of prio.
+    empty or repeating an index, sec repeating an index, prio/sec
+    overlapping, or `u` not covering all of prio under the package's
+    coverage rule.  That check also rejects a prio that no radius-r disk
+    covers; a prio that `u` covers fits the disk at `u`, so prio itself is
+    never re-solved.
     """
-    r = inst.require_radius()
+    r = inst.radius
     pts = inst.points
     if not prio:
         raise ContractError("prio set must be non-empty")
@@ -96,8 +99,6 @@ def local_cover(
     if set(covered) & set(pending):
         raise ContractError("prio and sec sets overlap")
     bound = coverage_bound(r)
-    if one_center([pts[k] for k in covered]).radius > bound:
-        raise ContractError("prio set is not coverable by a single radius-r disk")
     loc = (float(u[0]), float(u[1]))
     if any(dist(loc, pts[k]) > bound for k in covered):
         raise ContractError("starting location does not cover the prio set")
@@ -194,39 +195,43 @@ def _hull_input(
     sub: np.ndarray,
     ring: Sequence[int],
     alive: np.ndarray,
-    last_input: np.ndarray,
     margin: float,
 ) -> np.ndarray:
-    """Ascending indices of the uncovered points the next hull must be given.
+    """Ascending indices of the uncovered points the next hull must be given:
+    the surviving vertices of ``ring`` plus the points outside a chord.
 
     ``sub`` holds the coordinates of ``uncovered``; ``ring`` is the previous
-    hull, ``last_input`` marks the points it was computed from and ``alive``
-    the points still uncovered.
+    hull and ``alive`` marks the points still uncovered.  This is exact,
+    because :func:`convex_hull` decides every turn exactly:
 
-    The surviving vertices of ``ring`` are still hull vertices, and a point
-    strictly inside their polygon by ``margin`` is no hull vertex (the
-    rounding argument of :func:`_hull_candidates`).  Each edge of that
-    polygon is an old hull edge or a chord across removed vertices.  A point
-    near an old hull edge was in the previous input, since every prefilter
-    polygon lies inside the hull.  So the chain needs only the previous
-    input's survivors that are not strictly inside the polygon, plus the
-    uncovered points not strictly inside some chord: only the chords are
-    tested against every uncovered point.  With fewer than three survivors
-    the prefilter runs afresh.
+    * the surviving vertices of ``ring`` are still hull vertices;
+    * any other vertex of the new hull lies strictly outside the survivors'
+      polygon.  It cannot lie outside an edge of the old hull, which holds
+      every uncovered point, so it lies strictly outside a chord: an edge
+      of that polygon across removed vertices;
+    * a point is kept unless it is inside every chord by more than
+      ``margin``, which covers the rounding of the chord test (the argument
+      of :func:`_hull_candidates`).  Kept points that sit on or near a chord
+      are no vertices, and the exact chain drops them.
+
+    The chord test decides by coordinates, so a point enters with all its
+    duplicates, and each survivor is the lowest index of its coordinate: the
+    lowest index still stands for each run of duplicates.  The anchor of the
+    previous step is a ring vertex and its disk covers it, so with three or
+    more survivors there is at least one chord; with fewer the prefilter runs
+    afresh.
     """
     pos = [i for i, k in enumerate(ring) if alive[k]]
     if len(pos) < 3:
         return uncovered[_hull_candidates(sub)]
     # Edge e runs from survivor a[e] to the next one, b[e]; it is a chord
     # when the ring had vertices between them.
-    a = xy[[ring[i] for i in pos]]
+    survivors = [ring[i] for i in pos]
+    a = xy[survivors]
     b = np.concatenate((a[1:], a[:1]))
     chords = [e for e, (i, j) in enumerate(zip(pos, pos[1:] + pos[:1])) if (j - i) % len(ring) != 1]
-    keep = last_input[uncovered]
-    held = np.flatnonzero(keep)
-    keep[held] = ~_inside_edges(sub[held].T, a, b, margin)
-    if chords:
-        keep |= ~_inside_edges(sub.T, a[chords], b[chords], margin)
+    keep = ~_inside_edges(sub.T, a[chords], b[chords], margin)
+    keep[np.searchsorted(uncovered, survivors)] = True
     return uncovered[keep]
 
 
@@ -242,7 +247,7 @@ def spiral_steps(
     the previous anchor over the hull points that remain uncovered.  The
     steps' ``newly`` lists partition the point indices.
     """
-    r = inst.require_radius()
+    r = inst.radius
     pts = inst.points
     rng = np.random.Generator(np.random.PCG64(seed))
 
@@ -252,17 +257,14 @@ def spiral_steps(
     uncovered = np.arange(inst.k)
     carried: Optional[int] = None
     # The hull is carried from step to step: each step's hull input is
-    # derived from the previous one (see _hull_input).  The whole instance's
+    # derived from the previous hull (see _hull_input).  The whole instance's
     # margin is at least that of any subset, so it errs towards keeping.
     margin = _hull_margin(xy.min(axis=0), xy.max(axis=0))
-    hull_input = np.zeros(inst.k, dtype=bool)
     boundary: list[int] = []
 
     while uncovered.size:
         sub = xy[uncovered]
-        cand = _hull_input(xy, uncovered, sub, boundary, alive, hull_input, margin)
-        hull_input[:] = False
-        hull_input[cand] = True
+        cand = _hull_input(xy, uncovered, sub, boundary, alive, margin)
         boundary = cand[convex_hull(xy[cand])].tolist()
         bset = set(boundary)
 

@@ -29,7 +29,7 @@ def render_svg(inst: Instance, sol: Solution) -> str:
     marker plus a dashed coverage circle, all color-grouped by disk; disk
     centers are chained in placement order by a dash-dotted arrow path.
     """
-    r = inst.require_radius()
+    r = inst.radius
     pts = inst.points
     centers = sol.centers
 

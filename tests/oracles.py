@@ -269,7 +269,7 @@ def candidates_unpruned(inst: Instance) -> list[CandidateDisk]:
     plus both radius-r circle centers per co-coverable pair (one center when
     the pair is exactly 2r apart).
     """
-    r = inst.require_radius()
+    r = inst.radius
     pts = inst.points
     k_total = inst.k
     xy = np.array(pts, dtype=float)
@@ -525,7 +525,7 @@ def spiral_serial(
     interior point to the second ``local_cover`` call and tests every
     uncovered point against the placed disk.
     """
-    r = inst.require_radius()
+    r = inst.radius
     pts = inst.points
     rng = np.random.Generator(np.random.PCG64(seed))
 

@@ -20,24 +20,24 @@ from diskcover.bench import (
 
 class TestGenerateTopology:
     def test_points_inside_square(self):
-        inst = generate_topology(1, 5.0, seed=0)
+        inst = generate_topology(1, 5.0, seed=0, radius=0.5)
         (x, y) = inst.points[0]
         assert 0.0 <= x <= 5.0 and 0.0 <= y <= 5.0
-        assert inst.radius is None
+        assert inst.radius == 0.5
         assert inst.region_side == 5.0
 
     def test_deterministic(self):
-        a = generate_topology(50, 2.0, seed=123)
-        b = generate_topology(50, 2.0, seed=123)
+        a = generate_topology(50, 2.0, seed=123, radius=0.5)
+        b = generate_topology(50, 2.0, seed=123, radius=0.5)
         assert a.points == b.points
 
     def test_seeds_differ(self):
-        a = generate_topology(50, 2.0, seed=123)
-        b = generate_topology(50, 2.0, seed=124)
+        a = generate_topology(50, 2.0, seed=123, radius=0.5)
+        b = generate_topology(50, 2.0, seed=124, radius=0.5)
         assert a.points != b.points
 
     def test_uniform_mean(self):
-        inst = generate_topology(10_000, 1.0, seed=42)
+        inst = generate_topology(10_000, 1.0, seed=42, radius=0.5)
         xs = [p[0] for p in inst.points]
         ys = [p[1] for p in inst.points]
         assert abs(sum(xs) / len(xs) - 0.5) <= 0.02
@@ -45,9 +45,9 @@ class TestGenerateTopology:
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
-            generate_topology(0, 1.0, seed=0)
+            generate_topology(0, 1.0, seed=0, radius=0.5)
         with pytest.raises(ValueError):
-            generate_topology(5, -1.0, seed=0)
+            generate_topology(5, -1.0, seed=0, radius=0.5)
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 

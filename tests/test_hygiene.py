@@ -67,33 +67,54 @@ def test_every_public_name_is_read_by_the_package():
     assert public_names_unread(ROOT / "src" / "diskcover") == []
 
 
-def unpassed_keywords(package: Path, callers: list[Path]) -> list[str]:
-    """Defaulted parameters of the package's public functions that no call passes.
+def _name_of(node: ast.AST) -> str:
+    if isinstance(node, ast.Name):
+        return node.id
+    return node.attr if isinstance(node, ast.Attribute) else ""
 
-    A public function is a module-level ``def`` whose name has no leading
-    underscore.  A parameter with a default counts as passed when a call in
-    the package or under ``callers`` names the function and gives it, by
-    keyword or at its position.  A call names the function when it calls it
-    directly or hands it on as an argument, as in ``call(span, fn, *args)``;
-    then the arguments after it are the function's.  Matching is by name.
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    """Whether the class is decorated ``@dataclass`` or ``@dataclass(...)``."""
+    return any(
+        _name_of(d.func if isinstance(d, ast.Call) else d) == "dataclass"
+        for d in node.decorator_list
+    )
+
+
+def unpassed_keywords(package: Path, callers: list[Path]) -> list[str]:
+    """Defaulted parameters of the package's public functions, and defaulted
+    fields of its public dataclasses, that no call passes.
+
+    A public function or dataclass is a module-level ``def`` or ``@dataclass``
+    class whose name has no leading underscore; a dataclass's parameters are
+    its annotated fields, in order.  A parameter with a default counts as
+    passed when a call in the package or under ``callers`` names the function
+    or class and gives it, by keyword or at its position; a field counts as
+    passed also when a ``replace`` call gives it by keyword.  A call names
+    the function when it calls it directly or hands it on as an argument, as
+    in ``call(span, fn, *args)``; then the arguments after it are the
+    function's.  Matching is by name.
     """
-    defaulted: list[tuple[str, str, int, str]] = []
+    defaulted: list[tuple[str, str, int, str, bool]] = []
     for path in sorted(package.glob("*.py")):
         for node in ast.parse(path.read_text()).body:
-            if not isinstance(node, ast.FunctionDef) or node.name.startswith("_"):
-                continue
-            params = node.args.posonlyargs + node.args.args
-            first = len(params) - len(node.args.defaults)
-            for i, arg in enumerate(params[first:], first):
-                defaulted.append((path.stem, node.name, i, arg.arg))
-            for arg, default in zip(node.args.kwonlyargs, node.args.kw_defaults):
-                if default is not None:
-                    defaulted.append((path.stem, node.name, -1, arg.arg))
-
-    def name_of(node: ast.AST) -> str:
-        if isinstance(node, ast.Name):
-            return node.id
-        return node.attr if isinstance(node, ast.Attribute) else ""
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                params = node.args.posonlyargs + node.args.args
+                first = len(params) - len(node.args.defaults)
+                for i, arg in enumerate(params[first:], first):
+                    defaulted.append((path.stem, node.name, i, arg.arg, False))
+                for arg, default in zip(node.args.kwonlyargs, node.args.kw_defaults):
+                    if default is not None:
+                        defaulted.append((path.stem, node.name, -1, arg.arg, False))
+            elif (
+                isinstance(node, ast.ClassDef)
+                and not node.name.startswith("_")
+                and _is_dataclass(node)
+            ):
+                fields = [f for f in node.body if isinstance(f, ast.AnnAssign)]
+                for i, f in enumerate(fields):
+                    if f.value is not None:
+                        defaulted.append((path.stem, node.name, i, f.target.id, True))
 
     positions: dict[str, int] = {}
     keywords: dict[str, set[str]] = {}
@@ -102,8 +123,8 @@ def unpassed_keywords(package: Path, callers: list[Path]) -> list[str]:
         for call in ast.walk(ast.parse(path.read_text())):
             if not isinstance(call, ast.Call):
                 continue
-            named = [(name_of(call.func), call.args)]
-            named += [(name_of(a), call.args[i + 1 :]) for i, a in enumerate(call.args)]
+            named = [(_name_of(call.func), call.args)]
+            named += [(_name_of(a), call.args[i + 1 :]) for i, a in enumerate(call.args)]
             for fn, args in named:
                 if not fn:
                     continue
@@ -111,10 +132,13 @@ def unpassed_keywords(package: Path, callers: list[Path]) -> list[str]:
                 given = starred[0] if starred else len(args)
                 positions[fn] = max(positions.get(fn, 0), given)
                 keywords.setdefault(fn, set()).update(k.arg for k in call.keywords if k.arg)
+    replaced = keywords.get("replace", set())
     return [
         f"{module}.{fn}: {arg}"
-        for module, fn, i, arg in defaulted
-        if arg not in keywords.get(fn, set()) and not 0 <= i < positions.get(fn, 0)
+        for module, fn, i, arg, is_field in defaulted
+        if arg not in keywords.get(fn, set())
+        and not 0 <= i < positions.get(fn, 0)
+        and not (is_field and arg in replaced)
     ]
 
 
@@ -165,4 +189,22 @@ def test_flags_a_keyword_no_call_passes(tmp_path):
     (callers / "c.py").write_text("call('span', solve, 1, verbose=True)\n")
     assert unpassed_keywords(package, [callers]) == ["m.solve: seed", "m.solve: keep"]
     (callers / "d.py").write_text("solve(1, 2, keep=True)\n")
+    assert unpassed_keywords(package, [callers]) == []
+
+
+def test_flags_a_dataclass_field_no_construction_passes(tmp_path):
+    package, callers = tmp_path / "pkg", tmp_path / "callers"
+    package.mkdir()
+    callers.mkdir()
+    (package / "m.py").write_text(
+        "from dataclasses import dataclass, field, replace\n\n"
+        "@dataclass(frozen=True)\nclass Config:\n"
+        "    points: list\n    trials: int = 100\n    limit: int = 5\n"
+        "    tags: list = field(default_factory=list)\n    note: str = ''\n\n"
+        "@dataclass\nclass _Private:\n    flag: bool = False\n\n"
+        "def run(cfg):\n    return replace(cfg, limit=3)\n"
+    )
+    (callers / "c.py").write_text("Config([], 50)\n")
+    assert unpassed_keywords(package, [callers]) == ["m.Config: tags", "m.Config: note"]
+    (callers / "d.py").write_text("m.Config([], tags=[1], note='x')\n")
     assert unpassed_keywords(package, [callers]) == []

@@ -358,6 +358,24 @@ class TestSpiralMatchesSerial:
         sol = solve_spiral(inst, seed=4, deterministic_start=deterministic_start)
         assert not solution_violations(inst, sol)
 
+    @pytest.mark.parametrize("deterministic_start", [True, False])
+    def test_boundary_points_refit_past_the_bound_at_an_offset(self, deterministic_start):
+        # At a 1e9 offset one ulp is half of r.  The points the boundary
+        # phase commits are covered from its center, yet their enclosing
+        # disk solved afresh comes out wider than the coverage rule allows;
+        # a second local_cover that re-solved it rejected the seeded start.
+        pts = [
+            (1000000000.0, 2.384185791015625e-07),
+            (1000000000.0000005, 9.5367431640625e-21),
+            (1000000000.0000007, 0.0),
+            (1000000000.0000004, 1.1920928955078125e-07),
+        ]
+        inst = make_inst(pts, 2.384185791015625e-07)
+        assert_same_as_serial(inst, seed=1, deterministic_start=deterministic_start)
+        sol = solve_spiral(inst, seed=1, deterministic_start=deterministic_start)
+        assert not solution_violations(inst, sol)
+        assert sol.m >= min_cover(inst).m == 2
+
     def test_lattice_contacts_at_exactly_r(self):
         # Spacing 2r: every disk can take a pair whose points sit exactly r
         # from its center and exactly 2r from the anchor.
