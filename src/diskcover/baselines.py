@@ -31,6 +31,8 @@ class TrialConfig:
     def __post_init__(self) -> None:
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        if self.node_limit < 1:
+            raise ValueError("node_limit must be >= 1")
 
 
 def solve_strip(inst: Instance, seed: int = 0) -> Solution:

@@ -4,13 +4,21 @@ Any radius-r disk covering two or more points can be slid until two covered
 points sit on its boundary, and a disk covering one point can be centered on
 it.  Enumerating those candidate centers therefore preserves the optimum, and
 a branch-and-bound set cover over their coverage bitmasks finds it.
+
+The centers come from a scalar loop over point pairs, which fixes each
+center's bits; their coverages are then decided in blocks by one
+:func:`~diskcover.geometry.within_mask` call per block.  The search bounds
+each node twice: first by a greedy packing of uncovered points no candidate
+covers two of, then, only where that does not prune, by counting.
 """
 
 from __future__ import annotations
 
 import math
 import time
+from array import array
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -18,6 +26,10 @@ from .geometry import Point, coverage_bound, dist, within_mask
 from .problem import Instance, Solution
 
 DEFAULT_NODE_LIMIT = 10_000_000
+
+# Centers per within_mask call in generate_candidates: enough to amortise
+# numpy's per-call cost, few enough that the (block, k) temporaries stay small.
+_BLOCK = 64
 
 
 class BudgetExceededError(RuntimeError):
@@ -30,28 +42,33 @@ class CandidateDisk:
     coverage: int  # bitmask over point indices
 
 
+def _bits(mask: int) -> Iterator[int]:
+    """Indices of the set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 def generate_candidates(inst: Instance) -> list[CandidateDisk]:
     """Candidate centers: every point, plus both radius-r circle centers per
     co-coverable pair (one center when the pair is exactly 2r apart).
 
     Candidates whose coverage is a subset of another's are dropped; equal
-    coverages keep the earliest-emitted candidate.
+    coverages keep the earliest-emitted candidate.  Coverages are decided in
+    blocks of centers, and equal ones are merged on their packed bytes before
+    the subset test, which compares a candidate only with the kept candidates
+    that cover its lowest point (any superset must).
     """
     r = inst.radius
     pts = inst.points
     k_total = inst.k
-    xy = np.array(pts, dtype=float)
     bound = coverage_bound(r)
 
-    def coverage_of(center: Point) -> int:
-        # Bit k of the little-endian packing is point k.
-        bits = np.packbits(within_mask(xy, center, bound), bitorder="little")
-        return int.from_bytes(bits.tobytes(), "little")
-
-    cands: list[CandidateDisk] = []
-    for p in pts:
-        cands.append(CandidateDisk(p, coverage_of(p)))
-
+    # The centers' coordinates, x then y: the same floats as tuples would
+    # hold, at 16 bytes a center instead of about 110, and viewable by numpy
+    # without a copy.
+    flat = array("d", [c for p in pts for c in p])
     pair_bound = 2.0 * bound
     for i in range(k_total):
         xi, yi = pts[i]
@@ -63,34 +80,60 @@ def generate_candidates(inst: Instance) -> list[CandidateDisk]:
             mx, my = (xi + xj) / 2.0, (yi + yj) / 2.0
             h2 = r * r - (d / 2.0) ** 2
             if h2 <= 0.0:
-                centers = [(mx, my)]
+                flat.extend((mx, my))
             else:
                 h = math.sqrt(h2)
                 nx, ny = -(yj - yi) / d * h, (xj - xi) / d * h
-                centers = [(mx + nx, my + ny), (mx - nx, my - ny)]
-            for c in centers:
-                cands.append(CandidateDisk(c, coverage_of(c)))
+                flat.extend((mx + nx, my + ny, mx - nx, my - ny))
 
-    order = sorted(range(len(cands)), key=lambda i: (-cands[i].coverage.bit_count(), i))
+    # The earliest center of each distinct coverage.  Bit k of the
+    # little-endian packing is point k.
+    xy = np.array(pts, dtype=float)
+    centers = np.frombuffer(flat, dtype=float).reshape(-1, 2)
+    w = (k_total + 7) // 8
+    first: dict[bytes, int] = {}
+    for s in range(0, len(centers), _BLOCK):
+        block = within_mask(xy, centers[s : s + _BLOCK], bound)
+        raw = np.packbits(block, axis=1, bitorder="little").tobytes()
+        for j, o in enumerate(range(0, len(raw), w), s):
+            first.setdefault(raw[o : o + w], j)
+    coverage = {i: int.from_bytes(b, "little") for b, i in first.items()}
+
+    # Largest coverages first, so a superset is always kept before its
+    # subsets are tested; an empty coverage is dropped like any subset.
     kept: list[int] = []
-    for i in order:
-        m = cands[i].coverage
-        if any(m | cands[j].coverage == cands[j].coverage for j in kept):
+    kept_over: list[list[int]] = [[] for _ in range(k_total)]  # kept masks per point
+    for i in sorted(coverage, key=lambda i: (-coverage[i].bit_count(), i)):
+        m = coverage[i]
+        if not m or any(m | s == s for s in kept_over[(m & -m).bit_length() - 1]):
             continue
         kept.append(i)
+        for p in _bits(m):
+            kept_over[p].append(m)
     kept.sort()
-    return [cands[i] for i in kept]
+    return [CandidateDisk((flat[2 * i], flat[2 * i + 1]), coverage[i]) for i in kept]
 
 
 def min_cover(inst: Instance, node_limit: int = DEFAULT_NODE_LIMIT) -> Solution:
     """Provably minimum number of radius-r disks covering every point.
 
-    Branch and bound over the candidate disks: branch on an uncovered point
-    with the fewest covering candidates, bound with the counting lower bound
-    ceil(uncovered / best-remaining-coverage), seeded with a greedy incumbent.
+    Branch and bound over the candidate disks, seeded with a greedy
+    incumbent: branch on an uncovered point with the fewest covering
+    candidates, trying them in order of new coverage.  Each node is bounded
+    first by packing: take the lowest uncovered point, drop every point some
+    candidate covers together with it, and repeat; no candidate covers two
+    taken points, so their count is a lower bound.  Only when that does not
+    prune is the counting bound ceil(uncovered / best-remaining-coverage)
+    computed.  The bound in force is the larger of the two and each is
+    valid, so the search tree is a subtree of the counting bound's alone,
+    visited in the same order with the same incumbent updates: the cover is
+    the one that search returns, in no more nodes.
+
     Raises :class:`BudgetExceededError` once more than ``node_limit`` search
     nodes are expanded; it never silently returns a suboptimal cover.
     """
+    if node_limit < 1:
+        raise ValueError(f"node_limit must be >= 1: {node_limit}")
     t0 = time.perf_counter()
     cands = generate_candidates(inst)
     masks = [c.coverage for c in cands]
@@ -99,11 +142,13 @@ def min_cover(inst: Instance, node_limit: int = DEFAULT_NODE_LIMIT) -> Solution:
 
     coverers: list[list[int]] = [[] for _ in range(k_total)]
     for i, m in enumerate(masks):
-        b = m
-        while b:
-            low = b & -b
-            coverers[low.bit_length() - 1].append(i)
-            b ^= low
+        for p in _bits(m):
+            coverers[p].append(i)
+    # The points that share a candidate with p (p among them), as a mask.
+    nbr = [0] * k_total
+    for p, cs in enumerate(coverers):
+        for i in cs:
+            nbr[p] |= masks[i]
 
     # Greedy incumbent; every chosen disk covers something new, so the
     # recorded order yields non-empty per-disk assignments.
@@ -113,56 +158,14 @@ def min_cover(inst: Instance, node_limit: int = DEFAULT_NODE_LIMIT) -> Solution:
         pick = max(range(len(masks)), key=lambda i: ((masks[i] & ~covered).bit_count(), -i))
         best_sel.append(pick)
         covered |= masks[pick]
-    best_m = len(best_sel)
 
-    nodes = 0
-
-    def dfs(covered: int, chosen: list[int]) -> None:
-        nonlocal nodes, best_sel, best_m
-        nodes += 1
-        if nodes > node_limit:
-            raise BudgetExceededError(
-                f"exceeded {node_limit} search nodes (incumbent {best_m} unproven)"
-            )
-        if covered == full:
-            if len(chosen) < best_m:
-                best_sel = chosen.copy()
-                best_m = len(chosen)
-            return
-        rem_mask = full & ~covered
-        rem = rem_mask.bit_count()
-        max_cov = max((m & rem_mask).bit_count() for m in masks)
-        if len(chosen) + math.ceil(rem / max_cov) >= best_m:
-            return
-        low = rem_mask & -rem_mask
-        branch_pt = low.bit_length() - 1
-        scan = rem_mask
-        while scan:
-            b = scan & -scan
-            pt = b.bit_length() - 1
-            if len(coverers[pt]) < len(coverers[branch_pt]):
-                branch_pt = pt
-            scan ^= b
-        options = sorted(
-            coverers[branch_pt], key=lambda i: (-(masks[i] & rem_mask).bit_count(), i)
-        )
-        for i in options:
-            chosen.append(i)
-            dfs(covered | masks[i], chosen)
-            chosen.pop()
-
-    dfs(0, [])
+    best_sel = _search(masks, coverers, nbr, full, best_sel, node_limit)
 
     centers: list[Point] = [cands[i].center for i in best_sel]
-    newly_all: list[list[int]] = [[] for _ in best_sel]
+    newly_all: list[list[int]] = []
     assigned = 0
-    for pos, i in enumerate(best_sel):
-        fresh = masks[i] & ~assigned
-        b = fresh
-        while b:
-            low = b & -b
-            newly_all[pos].append(low.bit_length() - 1)
-            b ^= low
+    for i in best_sel:
+        newly_all.append(list(_bits(masks[i] & ~assigned)))
         assigned |= masks[i]
 
     return Solution(
@@ -172,3 +175,60 @@ def min_cover(inst: Instance, node_limit: int = DEFAULT_NODE_LIMIT) -> Solution:
         newly_covered=newly_all,
         runtime=time.perf_counter() - t0,
     )
+
+
+def _search(
+    masks: list[int],
+    coverers: list[list[int]],
+    nbr: list[int],
+    full: int,
+    best_sel: list[int],
+    node_limit: int,
+) -> list[int]:
+    """Depth-first branch and bound from the incumbent ``best_sel``; returns
+    the smallest selection found.  Iterative, so no state outlives the call."""
+    best_m = len(best_sel)
+    n_coverers = [len(cs) for cs in coverers]
+    nodes = 0
+    covered = 0
+    chosen: list[int] = []
+    # One entry per expanded node on the current path: its coverage and its
+    # untried branches.  chosen[d] is the branch taken at depth d.
+    stack: list[tuple[int, Iterator[int]]] = []
+    while True:
+        nodes += 1
+        if nodes > node_limit:
+            raise BudgetExceededError(
+                f"exceeded {node_limit} search nodes (incumbent {best_m} unproven)"
+            )
+        if covered == full:
+            if len(chosen) < best_m:
+                best_sel = chosen.copy()
+                best_m = len(chosen)
+        else:
+            need = best_m - len(chosen)  # a bound this large prunes
+            rem_mask = full & ~covered
+            packed, rest = 0, rem_mask
+            while rest and packed < need:
+                rest &= ~nbr[(rest & -rest).bit_length() - 1]
+                packed += 1
+            if packed < need:
+                max_cov = max([(m & rem_mask).bit_count() for m in masks])
+                if math.ceil(rem_mask.bit_count() / max_cov) < need:
+                    branch_pt = min(_bits(rem_mask), key=n_coverers.__getitem__)
+                    options = sorted(
+                        coverers[branch_pt], key=lambda i: (-(masks[i] & rem_mask).bit_count(), i)
+                    )
+                    stack.append((covered, iter(options)))
+        # Move to the next untried branch of the deepest node that has one.
+        while stack:
+            parent, branches = stack[-1]
+            del chosen[len(stack) - 1 :]
+            i = next(branches, None)
+            if i is not None:
+                chosen.append(i)
+                covered = parent | masks[i]
+                break
+            stack.pop()
+        else:
+            return best_sel

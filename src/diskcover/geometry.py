@@ -51,16 +51,27 @@ def covers(d: Disk, p: Point) -> bool:
     return within_radius(d.radius, dist(d.center, p))
 
 
-def within_mask(xy: np.ndarray, center: Point, limit: float) -> np.ndarray:
+def within_mask(xy: np.ndarray, center: Union[Point, np.ndarray], limit: float) -> np.ndarray:
     """Mask of the rows p of the ``(n, 2)`` array with ``dist(center, p) <= limit``.
 
+    ``center`` is one point, giving an ``(n,)`` mask, or an ``(m, 2)`` array
+    of centers, giving an ``(m, n)`` mask whose row j is the mask of center j.
     Decided exactly as :func:`dist` decides it.  ``np.hypot`` and the
     ``math.hypot`` behind :func:`dist` may round one distance to neighbouring
-    floats, so ``np.hypot`` settles only the rows farther than ``1e-6 *
-    limit`` from the limit, and :func:`dist` itself decides the rows within
+    floats, so ``np.hypot`` settles only the entries farther than ``1e-6 *
+    limit`` from the limit, and :func:`dist` itself decides the entries within
     it; the band is relative, so it holds at every scale.  This is the
     package's only bulk distance test.
     """
+    if isinstance(center, np.ndarray):
+        d = np.hypot(xy[:, 0] - center[:, :1], xy[:, 1] - center[:, 1:])
+        mask = d <= limit
+        band = np.argwhere(np.abs(d - limit) <= limit * 1e-6).tolist()
+        if band:
+            cs, ps = center.tolist(), xy.tolist()
+            for j, i in band:
+                mask[j, i] = dist(cs[j], ps[i]) <= limit
+        return mask
     cx, cy = center
     d = np.hypot(xy[:, 0] - cx, xy[:, 1] - cy)
     mask = d <= limit

@@ -5,6 +5,8 @@ triangle-containment test, enclosing disks from pair/triple enumeration, and
 minimum covers from exhaustive subset search, so each comparison is a genuine
 dual-route check.  The exceptions are the references at the end: the
 unpruned candidate generator that the oracle's pruning is checked against,
+the per-candidate generator and the counting-bound search that the oracle's
+block-wise coverage and packing bound replaced,
 the trial-by-trial k-means loop that the package's lockstep k-means replaced,
 the monotone chain over every point and the spiral loop that the spiral's
 prefiltered, carried hull replaced, and the recursive enclosing-disk
@@ -23,7 +25,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from diskcover.exact import CandidateDisk
+from diskcover.exact import BudgetExceededError, CandidateDisk
 from diskcover.geometry import (
     Disk,
     coverage_bound,
@@ -33,7 +35,7 @@ from diskcover.geometry import (
     within_mask,
     within_radius,
 )
-from diskcover.problem import Instance
+from diskcover.problem import Instance, Solution
 from diskcover.spiral import SpiralStep, local_cover
 
 Point = tuple[float, float]
@@ -303,6 +305,112 @@ def candidates_unpruned(inst: Instance) -> list[CandidateDisk]:
             for c in centers:
                 cands.append(CandidateDisk(c, coverage_of(c)))
     return cands
+
+
+def candidates_serial(inst: Instance) -> list[CandidateDisk]:
+    """:func:`candidates_unpruned` with dominated coverages dropped by
+    comparing each candidate, largest coverage first, with every candidate
+    kept so far; equal coverages keep the earliest-emitted candidate.  The
+    reference for the block-wise :func:`diskcover.exact.generate_candidates`.
+    """
+    cands = candidates_unpruned(inst)
+    order = sorted(range(len(cands)), key=lambda i: (-cands[i].coverage.bit_count(), i))
+    kept: list[int] = []
+    for i in order:
+        m = cands[i].coverage
+        if any(m | cands[j].coverage == cands[j].coverage for j in kept):
+            continue
+        kept.append(i)
+    kept.sort()
+    return [cands[i] for i in kept]
+
+
+def min_cover_serial(inst: Instance, node_limit: int) -> tuple[Solution, int]:
+    """The oracle's search with the counting bound alone, and the number of
+    nodes it expanded.
+
+    Branch and bound over :func:`candidates_serial`, seeded with the greedy
+    incumbent: branch on an uncovered point with the fewest covering
+    candidates, bound with ceil(uncovered / best-remaining-coverage).  The
+    reference that :func:`diskcover.exact.min_cover`, which adds a packing
+    bound, must match in cover and undercut in nodes.  Raises
+    :class:`BudgetExceededError` past ``node_limit`` nodes.
+    """
+    cands = candidates_serial(inst)
+    masks = [c.coverage for c in cands]
+    k_total = inst.k
+    full = (1 << k_total) - 1
+
+    coverers: list[list[int]] = [[] for _ in range(k_total)]
+    for i, m in enumerate(masks):
+        b = m
+        while b:
+            low = b & -b
+            coverers[low.bit_length() - 1].append(i)
+            b ^= low
+
+    best_sel: list[int] = []
+    covered = 0
+    while covered != full:
+        pick = max(range(len(masks)), key=lambda i: ((masks[i] & ~covered).bit_count(), -i))
+        best_sel.append(pick)
+        covered |= masks[pick]
+    best_m = len(best_sel)
+
+    nodes = 0
+
+    def dfs(covered: int, chosen: list[int]) -> None:
+        nonlocal nodes, best_sel, best_m
+        nodes += 1
+        if nodes > node_limit:
+            raise BudgetExceededError(f"exceeded {node_limit} search nodes")
+        if covered == full:
+            if len(chosen) < best_m:
+                best_sel = chosen.copy()
+                best_m = len(chosen)
+            return
+        rem_mask = full & ~covered
+        rem = rem_mask.bit_count()
+        max_cov = max((m & rem_mask).bit_count() for m in masks)
+        if len(chosen) + math.ceil(rem / max_cov) >= best_m:
+            return
+        low = rem_mask & -rem_mask
+        branch_pt = low.bit_length() - 1
+        scan = rem_mask
+        while scan:
+            b = scan & -scan
+            pt = b.bit_length() - 1
+            if len(coverers[pt]) < len(coverers[branch_pt]):
+                branch_pt = pt
+            scan ^= b
+        options = sorted(
+            coverers[branch_pt], key=lambda i: (-(masks[i] & rem_mask).bit_count(), i)
+        )
+        for i in options:
+            chosen.append(i)
+            dfs(covered | masks[i], chosen)
+            chosen.pop()
+
+    dfs(0, [])
+
+    newly_all: list[list[int]] = [[] for _ in best_sel]
+    assigned = 0
+    for pos, i in enumerate(best_sel):
+        fresh = masks[i] & ~assigned
+        b = fresh
+        while b:
+            low = b & -b
+            newly_all[pos].append(low.bit_length() - 1)
+            b ^= low
+        assigned |= masks[i]
+    sol = Solution(
+        algorithm="oracle",
+        seed=0,
+        centers=[cands[i].center for i in best_sel],
+        newly_covered=newly_all,
+        runtime=0.0,
+    )
+    return sol, nodes
 
 
 # --- Serial k-means reference -------------------------------------------

@@ -34,7 +34,7 @@ class TestTrialConfig:
         assert cfg.trials == 100
         assert cfg.node_limit == DEFAULT_NODE_LIMIT
 
-    @pytest.mark.parametrize("kwargs", [{"trials": 0}])
+    @pytest.mark.parametrize("kwargs", [{"trials": 0}, {"node_limit": 0}, {"node_limit": -3}])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
             TrialConfig(**kwargs)

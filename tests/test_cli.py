@@ -122,6 +122,13 @@ class TestSolve:
         inst_path = gen(tmp_path)
         assert main(["solve", "--algo", "dance", "--input", str(inst_path)]) == EXIT_USAGE
 
+    @pytest.mark.parametrize("limit", ["0", "-3"])
+    def test_node_limit_below_one_usage_error(self, tmp_path, capsys, limit):
+        inst_path = gen(tmp_path)
+        assert main(["solve", "--algo", "oracle", "--input", str(inst_path),
+                     "--node-limit", limit]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("usage error:")
+
     @pytest.mark.parametrize(
         "extra",
         [

@@ -1,8 +1,10 @@
 import pytest
 from hypothesis import given, settings
+import hypothesis.strategies as st
 
 from diskcover import (
     BudgetExceededError,
+    CandidateDisk,
     Instance,
     generate_candidates,
     min_cover,
@@ -16,13 +18,16 @@ from diskcover import (
 from diskcover.geometry import Disk, covers
 from diskcover.bench import generate_topology
 
-from conftest import instances
+from conftest import grid_point_lists, instances
 from oracles import (
+    candidates_serial,
     candidates_unpruned,
     grid_cover_masks,
+    min_cover_serial,
     min_cover_size_by_combinations,
     min_cover_size_by_enumeration,
 )
+from test_acceptance import _oracle_corpus
 
 
 class TestGenerateCandidates:
@@ -78,6 +83,70 @@ class TestGenerateCandidates:
             assert min_cover(inst).m == min_cover_size_by_enumeration(masks, inst.k)
 
 
+class TestBlockwiseCandidates:
+    """Block-wise coverage and the lowest-point subset test give the
+    candidate list of the per-candidate serial generator, bit for bit."""
+
+    @pytest.mark.parametrize("scale,offset", [(1.0, 0.0), (1e-6, 1e3), (1e6, -1e9)])
+    def test_2r_lattice(self, scale, offset):
+        r = scale
+        pts = [(offset + 2 * r * i, offset + 2 * r * j) for i in range(5) for j in range(5)]
+        inst = Instance(points=pts, radius=r)
+        assert generate_candidates(inst) == candidates_serial(inst)
+
+    def test_duplicate_points(self):
+        pts = [(0.0, 0.0), (0.5, 0.2), (0.0, 0.0), (1.5, 0.0), (0.5, 0.2), (0.0, 0.0)]
+        inst = Instance(points=pts, radius=1.0)
+        assert generate_candidates(inst) == candidates_serial(inst)
+
+    def test_collinear_points(self):
+        inst = Instance(points=[(0.3 * i, 0.7 * i) for i in range(12)], radius=0.5)
+        assert generate_candidates(inst) == candidates_serial(inst)
+
+    def test_large_offset(self):
+        base = generate_topology(30, 3.0, seed=12, radius=0.5)
+        inst = Instance(points=[(x + 1e6, y - 1e6) for x, y in base.points], radius=0.5)
+        assert generate_candidates(inst) == candidates_serial(inst)
+
+    def test_center_exactly_r_from_a_third_point(self):
+        # The tangent pair (+-1, 0) yields the center (0, 0), which is exactly
+        # r from (0, 1): the distance falls in within_mask's band.
+        inst = Instance(points=[(1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.5)], radius=1.0)
+        cands = generate_candidates(inst)
+        assert CandidateDisk((0.0, 0.0), 0b0111) in cands
+        assert cands == candidates_serial(inst)
+
+    @given(instances(max_size=20))
+    @settings(max_examples=40)
+    def test_random_instances(self, inst):
+        assert generate_candidates(inst) == candidates_serial(inst)
+
+    @given(grid_point_lists(max_size=20), st.sampled_from([0.25, 0.5, 1.0, 2.0]))
+    @settings(max_examples=40)
+    def test_grid_instances(self, pts, r):
+        inst = Instance(points=pts, radius=r)
+        assert generate_candidates(inst) == candidates_serial(inst)
+
+
+def _search_corpus():
+    """The criterion-6 corpus and 20 instances of K=30 to 60 at D/r 4 to 10."""
+    corpus = [inst for inst, _ in _oracle_corpus()]
+    for t in range(20):
+        k, ratio = (30, 40, 50, 60)[t % 4], 4.0 + 1.5 * (t // 4)
+        corpus.append(generate_topology(k, 1.0, 900 + t, radius=1.0 / ratio))
+    return corpus
+
+
+def test_search_matches_counting_bound_search():
+    # The packing bound only prunes more, so min_cover must return the
+    # counting-bound search's cover within that search's node count.
+    for inst in _search_corpus():
+        ref, nodes = min_cover_serial(inst, node_limit=200_000)
+        sol = min_cover(inst, node_limit=nodes)
+        assert sol.centers == ref.centers
+        assert sol.newly_covered == ref.newly_covered
+
+
 class TestMinCover:
     def test_three_collinear(self):
         inst = Instance(points=[(0.0, 0.0), (2.0, 0.0), (4.0, 0.0)], radius=1.0)
@@ -95,6 +164,11 @@ class TestMinCover:
         masks = [c.coverage for c in generate_candidates(inst)]
         assert sol.m == min_cover_size_by_enumeration(masks, inst.k)
         assert not solution_violations(inst, sol)
+
+    @pytest.mark.parametrize("limit", [0, -3])
+    def test_node_limit_below_one_rejected(self, limit):
+        with pytest.raises(ValueError):
+            min_cover(Instance(points=[(0.0, 0.0)], radius=1.0), node_limit=limit)
 
     def test_budget_exhaustion_raises(self):
         inst = generate_topology(25, 4.0, seed=3, radius=0.8)

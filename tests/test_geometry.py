@@ -430,3 +430,16 @@ class TestWithinMask:
         limit = coverage_bound(1.0)
         assert np.hypot(*pts[1]) <= limit < dist(pts[0], pts[1])
         assert within_mask(np.array(pts), pts[0], limit).tolist() == [True, False]
+        xy = np.array(pts)
+        assert within_mask(xy, xy, limit).tolist() == [[True, False], [False, True]]
+
+    @given(circle_cases())
+    @settings(max_examples=100)
+    def test_block_rows_equal_single_centers(self, case):
+        center, limit, pts = case
+        xy = np.array(pts)
+        centers = [center] + pts[:7]
+        block = within_mask(xy, np.array(centers), limit)
+        assert block.shape == (len(centers), len(pts))
+        for row, c in zip(block.tolist(), centers):
+            assert row == within_mask(xy, c, limit).tolist()

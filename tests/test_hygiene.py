@@ -1,6 +1,9 @@
 """Source hygiene checks that need nothing beyond the standard library."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -208,3 +211,27 @@ def test_flags_a_dataclass_field_no_construction_passes(tmp_path):
     assert unpassed_keywords(package, [callers]) == ["m.Config: tags", "m.Config: note"]
     (callers / "d.py").write_text("m.Config([], tags=[1], note='x')\n")
     assert unpassed_keywords(package, [callers]) == []
+
+
+# Modules no import of the package may load: scipy.optimize alone adds about
+# 49 MB of peak resident memory and numpy.ma about 1.2 MB, so either would
+# move every benchmark workload's memory and start-up time.
+HEAVY_MODULES = ("scipy", "numpy.ma")
+
+
+def test_import_loads_no_heavy_module():
+    package = ROOT / "src" / "diskcover"
+    names = sorted(f"diskcover.{p.stem}" for p in package.glob("*.py") if p.stem != "__init__")
+    code = (
+        "import importlib, sys\n"
+        f"for name in {['diskcover'] + names!r}:\n"
+        "    importlib.import_module(name)\n"
+        "print('\\n'.join(sys.modules))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    loaded = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout.split()
+    assert "diskcover.exact" in loaded
+    heavy = [m for m in loaded if any(m == h or m.startswith(h + ".") for h in HEAVY_MODULES)]
+    assert heavy == []
