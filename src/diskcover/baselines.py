@@ -88,11 +88,27 @@ def solve_strip(inst: Instance, seed: int = 0) -> Solution:
 
 
 # Element budget of one lockstep k-means block, which sets how many probes
-# run side by side.  A row probing p clusters on n points costs n * (p + 8)
-# elements: its slices of the two (B, n, p) working arrays (allocated once per
-# solve at the budget size, 384 KiB each) plus about eight (B, n) temporaries.
-# Larger blocks amortise more numpy call overhead but raise peak memory.
-_KMEANS_BLOCK_ELEMS = 49_152
+# of a bisection step run their batch passes and refinement side by side.  A
+# row probing p clusters on n points costs n * (p + 8) elements: its slices of
+# the two (B, n, p) working arrays (allocated once per solve at the budget
+# size, 640 KiB each) plus about eight (B, n) temporaries.  Larger blocks
+# amortise more numpy call overhead but raise peak memory.  Swept on a 2-core
+# x86 VM: k-means time over 12 K=80 cells at D/r 2, 6 and 10 with 100 trials
+# (median of 5, host speed divided out as perfbench does), and perfbench
+# table-k80's peak RSS in 10 s runs (39.8 MB with the former per-block
+# seeding at 49 152):
+#
+#   budget    k-means time   table-k80 peak RSS
+#    49 152   3.07 s         39.8 MB
+#    65 536   2.97 s         40.2 MB
+#    81 920   2.84 s         40.3 MB
+#    98 304   2.73 s         40.7 MB
+#   131 072   2.66 s         41.0 MB
+#   196 608   2.72 s         42.0 MB
+#
+# In 35 s runs, which keep more jobs, 81 920 read 1.9% over the former peak
+# and 98 304 2.5% to 3.0%, more than half of the 5% the benchmark allows.
+_KMEANS_BLOCK_ELEMS = 81_920
 _KMEANS_ROW_TEMPS = 8
 
 
@@ -124,12 +140,16 @@ def _bisect_cluster_count(
     return None if best is None else best[1]
 
 
-def _sqdist(pts: np.ndarray, q: np.ndarray) -> np.ndarray:
+def _sqdist(pts: np.ndarray, q: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     """Squared distances (m, n) from each of the m centers ``q`` (2, m) to
-    each point of ``pts`` (2, n), as dx*dx + dy*dy."""
-    d = pts[:, None, :] - q[:, :, None]
-    d *= d
-    return d[0] + d[1]
+    each point of ``pts`` (2, n), as dx*dx + dy*dy, written to ``out`` when
+    given."""
+    dx = np.subtract(pts[0], q[0][:, None], out=out)
+    dx *= dx
+    dy = pts[1] - q[1][:, None]
+    dy *= dy
+    dx += dy
+    return dx
 
 
 def _fill_sqdist(out: np.ndarray, tmp: np.ndarray, pts: np.ndarray, c: np.ndarray) -> None:
@@ -142,36 +162,66 @@ def _fill_sqdist(out: np.ndarray, tmp: np.ndarray, pts: np.ndarray, c: np.ndarra
     np.add(out, tmp, out=out)
 
 
+def _rewind(rng: np.random.Generator, draws: int) -> None:
+    """Step ``rng`` back over its last ``draws`` doubles.
+
+    PCG64 spends one 64-bit output per double, and advancing by
+    2**128 - draws wraps its state back by ``draws`` outputs.  Advancing
+    clears the half output that 32-bit draws (``integers`` below 2**32)
+    keep buffered; doubles never touch it, so it is put back.
+    """
+    gen = rng.bit_generator
+    state = gen.state
+    gen.advance((1 << 128) - draws)
+    back = gen.state
+    back["has_uint32"], back["uinteger"] = state["has_uint32"], state["uinteger"]
+    gen.state = back
+
+
 def _seed_lockstep(
     pts: np.ndarray, ps: np.ndarray, rngs: list[np.random.Generator]
 ) -> np.ndarray:
     """Careful seeding per row: first center uniform, then squared-distance
     weighted.  Returns the centers (2, B, max p), +inf past a row's own
-    count."""
+    count.
+
+    Row b draws its first center, then the p - 1 uniforms of its other
+    centers in one call.  A row whose points all sit on its centers already
+    stops early, as a lone run does, and its generator is stepped back to
+    where that run leaves it.
+    """
     b_rows, n, pm = len(ps), pts.shape[1], int(ps.max())
     c = np.full((2, b_rows, pm), np.inf)
-    c[:, :, 0] = pts[:, [int(rng.integers(n)) for rng in rngs]]
-    d2 = _sqdist(pts, c[:, :, 0])
-    seeding = ps > 1
-    u = np.zeros(b_rows)
-    with np.errstate(divide="ignore", invalid="ignore"):  # spent rows: 0 / 0
-        for j in range(1, pm):
-            seeding &= ps > j
-            total = d2.sum(axis=1)
-            if total.min() <= 0.0:
-                for b in np.flatnonzero(seeding & (total <= 0.0)):
-                    # Every point sits on a center already: copy the first one.
-                    c[:, b, j : ps[b]] = c[:, b, :1]
-                    seeding[b] = False
-            live = seeding.nonzero()[0]
-            if live.size == 0:
+    first = np.empty(b_rows, dtype=np.intp)
+    u = np.empty((b_rows, pm - 1))  # column j - 1 places center j
+    for b, (rng, p) in enumerate(zip(rngs, ps.tolist())):
+        first[b] = rng.integers(n)
+        if p > 1:
+            rng.random(out=u[b, : p - 1])
+    c[:, :, 0] = pts[:, first]
+    at = np.flatnonzero(ps > 1)  # rows still placing centers
+    d2 = _sqdist(pts, c[:, at, 0])
+    cum = np.empty_like(d2)
+    for j in range(1, pm):
+        keep = ps[at] > j
+        total = d2.sum(axis=1)
+        if total.min() <= 0.0:
+            for b in at[keep & (total <= 0.0)]:
+                # Every point sits on a center already: copy the first
+                # one.  A lone run drew j - 1 of the p - 1 uniforms.
+                c[:, b, j : ps[b]] = c[:, b, :1]
+                _rewind(rngs[b], int(ps[b]) - j)
+            keep &= total > 0.0
+        if not keep.all():
+            at, d2, total = at[keep], d2[keep], total[keep]
+            if at.size == 0:
                 break
-            for b in live:
-                u[b] = rngs[b].random()
-            cum = np.cumsum(d2 / total[:, None], axis=1)
-            chosen = pts[:, np.minimum((cum <= u[:, None]).sum(axis=1), n - 1)]
-            c[:, live, j] = chosen[:, live]
-            np.minimum(d2, _sqdist(pts, chosen), out=d2, where=seeding[:, None])
+            cum = cum[: at.size]
+        np.divide(d2, total[:, None], out=cum)
+        np.cumsum(cum, axis=1, out=cum)
+        chosen = pts[:, np.minimum((cum <= u[at, j - 1 : j]).sum(axis=1), n - 1)]
+        c[:, at, j] = chosen
+        np.minimum(d2, _sqdist(pts, chosen, cum), out=d2)
     return c
 
 
@@ -326,46 +376,71 @@ def _lloyd_lockstep(
     rngs: list[np.random.Generator],
     buf: np.ndarray,
     tmp_buf: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """k-means probes run side by side, one per row: row b clusters into
-    ``ps[b]`` groups drawing from ``rngs[b]``.
+    labels: np.ndarray,
+) -> np.ndarray:
+    """One bisection step: k-means probes run side by side, one per row: row
+    b clusters into ``ps[b]`` groups drawing from ``rngs[b]``; ``ps`` is
+    ascending.
 
     Each row goes through careful seeding, batch passes, then single-point
     refinement moves, and draws exactly what a lone run would; a row that
     has converged is frozen.  Center columns beyond a row's own count are
-    padding at +inf, which no point ever picks.  Returns the labels (B, n)
-    and whether each row's clusters all fit in a radius-r disk.
+    padding at +inf, which no point ever picks.  Seeding and the exact
+    feasibility checks take every row at once; the batch passes and the
+    refinement, whose (rows, n, p) arrays live in ``buf`` and ``tmp_buf``,
+    take blocks of rows that fit them, and so do the bounding boxes.  Writes
+    the labels to ``labels`` (B, n) and returns whether each row's clusters
+    all fit in a radius-r disk.
     """
-    b_rows, pm = len(ps), int(ps.max())
+    b_rows, pm = len(ps), int(ps[-1])
+    n = len(xy)
     pts = np.ascontiguousarray(xy.T)
-    real = np.arange(pm)[None, :] < ps[:, None]
-    c = _seed_lockstep(pts, ps, rngs)
-    labels = _batch_lockstep(pts, c, real, buf, tmp_buf)
-    counts = _refine_lockstep(pts, labels, c, np.where(real, 0.0, np.inf), buf, tmp_buf)
-
+    seeds = _seed_lockstep(pts, ps, rngs)
     # Feasibility over per-cluster bounding boxes.  Half the larger extent
-    # lower-bounds the enclosing radius (reject); every member lies within
-    # half the diagonal of the box centre (accept).  Only the clusters in
-    # between need an exact enclosing disk.
-    g = (labels + (np.arange(b_rows) * pm)[:, None]).ravel()
-    tiled = np.tile(pts, b_rows)
-    lo = np.full((2, b_rows * pm), np.inf)
-    hi = np.full((2, b_rows * pm), -np.inf)
-    for axis in (0, 1):
-        np.minimum.at(lo[axis], g, tiled[axis])
-        np.maximum.at(hi[axis], g, tiled[axis])
-    ex, ey = (hi - lo).reshape(2, b_rows, pm)
-    used = counts > 0
+    # lower-bounds the enclosing radius (too wide: reject); every member lies
+    # within half the diagonal of the box centre (accept).  Only the clusters
+    # in between, unsure, need an exact enclosing disk.  Each block records
+    # its clusters' verdicts; the step settles them at once.
     bound = coverage_bound(r)
-    feasible = ~(used & (np.maximum(ex, ey) / 2.0 > bound)).any(axis=1)
-    check = used & feasible[:, None] & ~(np.hypot(ex, ey) / 2.0 <= r)
+    wide = np.zeros((b_rows, pm), dtype=bool)
+    unsure = np.zeros((b_rows, pm), dtype=bool)
+    start = 0
+    while start < b_rows:
+        # Rows are ascending in p, so a block's last row has its largest count.
+        stop = start + 1
+        while (
+            stop < b_rows
+            and (stop - start + 1) * n * (ps[stop] + _KMEANS_ROW_TEMPS) <= _KMEANS_BLOCK_ELEMS
+        ):
+            stop += 1
+        rows, bp = stop - start, int(ps[stop - 1])
+        c = np.ascontiguousarray(seeds[:, start:stop, :bp])
+        real = np.arange(bp)[None, :] < ps[start:stop, None]
+        lab = labels[start:stop]
+        lab[:] = _batch_lockstep(pts, c, real, buf, tmp_buf)
+        pad = np.where(real, 0.0, np.inf)
+        used = _refine_lockstep(pts, lab, c, pad, buf, tmp_buf) > 0
+        g = (lab + (np.arange(rows) * bp)[:, None]).ravel()
+        tiled = np.tile(pts, rows)
+        lo = np.full((2, rows * bp), np.inf)
+        hi = np.full((2, rows * bp), -np.inf)
+        for axis in (0, 1):
+            np.minimum.at(lo[axis], g, tiled[axis])
+            np.maximum.at(hi[axis], g, tiled[axis])
+        ex, ey = (hi - lo).reshape(2, rows, bp)
+        wide[start:stop, :bp] = used & (np.maximum(ex, ey) / 2.0 > bound)
+        unsure[start:stop, :bp] = used & ~(np.hypot(ex, ey) / 2.0 <= r)
+        start = stop
+
+    feasible = ~wide.any(axis=1)
+    check = unsure & feasible[:, None]
     for b in np.flatnonzero(check.any(axis=1)):
         for j in np.flatnonzero(check[b]):
             mec = one_center([(q[0], q[1]) for q in xy[labels[b] == j]])
             if not within_radius(r, mec.radius):
                 feasible[b] = False
                 break
-    return labels, feasible
+    return feasible
 
 
 def solve_kmeans(inst: Instance, seed: int = 0, cfg: Optional[TrialConfig] = None) -> Solution:
@@ -396,32 +471,25 @@ def solve_kmeans(inst: Instance, seed: int = 0, cfg: Optional[TrialConfig] = Non
     trials = [_bisect_cluster_count(n_distinct) for _ in range(cfg.trials)]
     probes = {t: next(trial) for t, trial in enumerate(trials)}
     results: list[Optional[np.ndarray]] = [None] * cfg.trials
+    labels = np.empty((cfg.trials, n), dtype=np.intp)
     while probes:
         # Similar counts share a block, so little of it is padding.
         live = sorted(probes, key=probes.__getitem__)
-        while live:
-            rows = 1  # `live` is sorted, so a block's last row has its largest count
-            while (
-                rows < len(live)
-                and (rows + 1) * n * (probes[live[rows]] + _KMEANS_ROW_TEMPS)
-                <= _KMEANS_BLOCK_ELEMS
-            ):
-                rows += 1
-            block, live = live[:rows], live[rows:]
-            labels, feasible = _lloyd_lockstep(
-                xy,
-                np.array([probes[t] for t in block]),
-                r,
-                [rngs[t] for t in block],
-                buf,
-                tmp_buf,
-            )
-            for row, t in enumerate(block):
-                try:
-                    probes[t] = trials[t].send(labels[row].copy() if feasible[row] else None)
-                except StopIteration as done:
-                    results[t] = done.value
-                    del probes[t]
+        feasible = _lloyd_lockstep(
+            xy,
+            np.array([probes[t] for t in live]),
+            r,
+            [rngs[t] for t in live],
+            buf,
+            tmp_buf,
+            labels[: len(live)],
+        )
+        for row, t in enumerate(live):
+            try:
+                probes[t] = trials[t].send(labels[row].copy() if feasible[row] else None)
+            except StopIteration as done:
+                results[t] = done.value
+                del probes[t]
 
     best: Optional[np.ndarray] = None
     best_m = 0

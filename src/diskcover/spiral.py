@@ -9,13 +9,12 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from math import hypot
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .geometry import (
-    Disk, Point, convex_hull, coverage_bound, covers, dist, one_center, within_mask,
-)
+from .geometry import Point, convex_hull, coverage_bound, dist, one_center, within_mask
 from .problem import Instance, Solution
 
 # The hull prefilter drops a point only when it sits inside the extreme
@@ -109,17 +108,25 @@ def local_cover(
     pair_bound = 2.0 * bound
 
     def keep_near(candidates: list[int], anchors: Sequence[int]) -> list[int]:
+        anchor_pts = [pts[a] for a in anchors]
         kept = []
         for k in candidates:
-            pk = pts[k]
-            if all(dist(pk, pts[a]) <= pair_bound for a in anchors):
+            x, y = pts[k]
+            for ax, ay in anchor_pts:
+                if not hypot(x - ax, y - ay) <= pair_bound:
+                    break
+            else:
                 kept.append(k)
         return kept
 
     pending = keep_near(pending, covered)
     while pending:
-        here = Disk(loc, r)
-        near = [k for k in pending if covers(here, pts[k])]
+        lx, ly = loc
+        near = []
+        for k in pending:
+            x, y = pts[k]
+            if hypot(lx - x, ly - y) <= bound:
+                near.append(k)
         if near:
             covered.extend(near)
             near_set = set(near)
@@ -127,7 +134,13 @@ def local_cover(
             pending = keep_near(pending, near)
             if not pending:
                 break
-        k1 = min(pending, key=lambda k: (dist(loc, pts[k]), k))
+        # The nearest candidate, the lowest index among equals.
+        k1, best = -1, 0.0
+        for k in pending:
+            x, y = pts[k]
+            d = hypot(lx - x, ly - y)
+            if k1 < 0 or d < best or (d == best and k < k1):
+                k1, best = k, d
         trial = one_center([pts[k] for k in covered] + [pts[k1]])
         if trial.radius > bound:
             break

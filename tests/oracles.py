@@ -9,7 +9,8 @@ the per-candidate generator and the counting-bound search that the oracle's
 block-wise coverage and packing bound replaced,
 the trial-by-trial k-means loop that the package's lockstep k-means replaced,
 the monotone chain over every point and the spiral loop that the spiral's
-prefiltered, carried hull replaced, and the recursive enclosing-disk
+prefiltered, carried hull replaced, the candidate pruning that
+``local_cover``'s flat loops replaced, and the recursive enclosing-disk
 construction that the flat kernel replaced.  They run on the same primitives
 or the same arithmetic, so each pair must agree bit for bit.
 """
@@ -36,7 +37,7 @@ from diskcover.geometry import (
     within_radius,
 )
 from diskcover.problem import Instance, Solution
-from diskcover.spiral import SpiralStep, local_cover
+from diskcover.spiral import ContractError, LocalCoverResult, SpiralStep
 
 Point = tuple[float, float]
 
@@ -624,13 +625,79 @@ def convex_hull_serial(points: Sequence[Point]) -> list[int]:
     return [first_idx[p] for p in ring]
 
 
+def local_cover_serial(
+    u: Point,
+    prio: Sequence[int],
+    sec: Sequence[int],
+    inst: Instance,
+) -> LocalCoverResult:
+    """The candidate pruning that the flat loops of
+    :func:`diskcover.spiral.local_cover` replaced: a generator of
+    :func:`dist` calls per pending candidate, a list comprehension over
+    :func:`covers` and a ``min`` keyed on ``(dist, index)``.
+
+    Same contract, and the same distances in the same order, so the two
+    must return equal results.
+    """
+    r = inst.radius
+    pts = inst.points
+    if not prio:
+        raise ContractError("prio set must be non-empty")
+    covered = list(dict.fromkeys(prio))
+    if len(covered) != len(prio):
+        raise ContractError("prio set contains repeated indices")
+    pending = list(dict.fromkeys(sec))
+    if len(pending) != len(sec):
+        raise ContractError("sec set contains repeated indices")
+    if set(covered) & set(pending):
+        raise ContractError("prio and sec sets overlap")
+    bound = coverage_bound(r)
+    loc = (float(u[0]), float(u[1]))
+    if any(dist(loc, pts[k]) > bound for k in covered):
+        raise ContractError("starting location does not cover the prio set")
+
+    # A candidate farther than pair_bound from a committed point can never
+    # share its disk: the pair's enclosing radius, half their distance,
+    # already fails the coverage rule.  The oracle pairs points the same way.
+    pair_bound = 2.0 * bound
+
+    def keep_near(candidates: list[int], anchors: Sequence[int]) -> list[int]:
+        kept = []
+        for k in candidates:
+            pk = pts[k]
+            if all(dist(pk, pts[a]) <= pair_bound for a in anchors):
+                kept.append(k)
+        return kept
+
+    pending = keep_near(pending, covered)
+    while pending:
+        here = Disk(loc, r)
+        near = [k for k in pending if covers(here, pts[k])]
+        if near:
+            covered.extend(near)
+            near_set = set(near)
+            pending = [k for k in pending if k not in near_set]
+            pending = keep_near(pending, near)
+            if not pending:
+                break
+        k1 = min(pending, key=lambda k: (dist(loc, pts[k]), k))
+        trial = one_center([pts[k] for k in covered] + [pts[k1]])
+        if trial.radius > bound:
+            break
+        loc = trial.center
+        covered.append(k1)
+        pending.remove(k1)
+        pending = keep_near(pending, [k1])
+    return LocalCoverResult(center=loc, covered=covered)
+
+
 def spiral_serial(
     inst: Instance, seed: int = 0, deterministic_start: bool = True
 ) -> list[SpiralStep]:
     """The spiral loop with every uncovered point passed to each step.
 
     Each step takes the serial hull of all uncovered points, hands every
-    interior point to the second ``local_cover`` call and tests every
+    interior point to the second ``local_cover_serial`` call and tests every
     uncovered point against the placed disk.
     """
     r = inst.radius
@@ -654,8 +721,8 @@ def spiral_serial(
         else:
             k0 = boundary[int(rng.integers(len(boundary)))]
 
-        first = local_cover(pts[k0], [k0], [k for k in boundary if k != k0], inst)
-        second = local_cover(first.center, first.covered, inner, inst)
+        first = local_cover_serial(pts[k0], [k0], [k for k in boundary if k != k0], inst)
+        second = local_cover_serial(first.center, first.covered, inner, inst)
         center = second.center
 
         disk = Disk(center, r)

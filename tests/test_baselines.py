@@ -1,5 +1,7 @@
 import functools
 import math
+import tracemalloc
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -23,7 +25,7 @@ from diskcover.geometry import within_radius
 from diskcover.bench import Campaign, generate_topology, run_campaign
 
 from conftest import HYPOT_SPLIT_PAIR, grid_point_lists, instances
-from oracles import kmeans_serial
+from oracles import _kmeanspp_init, kmeans_serial
 
 H = baselines.STRIP_HEIGHT_FACTOR
 
@@ -224,6 +226,93 @@ class TestKmeansLockstep:
         cfg = TrialConfig(trials=11)
         sol = kmeans_with_block(inst, 10408, cfg, block, max_iters)
         centers, newly = serial_k80(ratio, max_iters)
+        assert sol.centers == centers
+        assert sol.newly_covered == newly
+
+
+class TestKmeansAt100Trials:
+    """K=80, D/r=10 solves at the table's 100 trials."""
+
+    def test_block_budget_invariant(self):
+        # 100 trials, as the table runs them: seeding and the feasibility
+        # check take up to 100 rows per bisection step, while the batch
+        # passes and the refinement take one row per block (budget 1), the
+        # default blocks, or every row at once.
+        inst = generate_topology(80, 1.0, 10408, radius=0.1)
+        cfg = TrialConfig(trials=100)
+        default = replace(solve_kmeans(inst, 10408, cfg), runtime=0.0)
+        for block in (1, None):
+            sol = kmeans_with_block(inst, 10408, cfg, block, baselines.KMEANS_MAX_ITERS)
+            assert replace(sol, runtime=0.0) == default
+
+    def test_peak_memory_within_the_block_buffers(self):
+        # The two working buffers of the batch passes and the refinement
+        # hold 8 B per budget element each.  Everything else a K=80, D/r=10,
+        # 100-trial solve holds at once (seeding's per-step arrays, the
+        # feasibility verdicts, 100 generators, the trials' labels; about
+        # 0.75 MiB) must stay within 1 MiB, so that only a deliberate budget
+        # change, which moves the cap with it, can raise the benchmark's peak
+        # RSS much.
+        slack = 1 << 20
+        inst = generate_topology(80, 1.0, 10408, radius=0.1)
+        solve_kmeans(inst, 10408, TrialConfig(trials=100))  # warm the caches
+        tracemalloc.start()
+        try:
+            solve_kmeans(inst, 10408, TrialConfig(trials=100))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 8 * baselines._KMEANS_BLOCK_ELEMS + slack
+
+
+# Points 1e-170 apart are distinct, but their squared distance (1e-340)
+# underflows to 0.  Four positions lie far apart, so careful seeding finds
+# every point on a center once it has placed four, before p of them when
+# p > 4.
+TINY = 1e-170
+EARLY_STOP_POINTS = [(3.5, 1.5)] * 3 + [
+    (0.0, 2.0),
+    (TINY, 2.0),
+    (2.0 * TINY, 2.0),
+    (2.5, 0.0),
+    (1.5, 1.0),
+]
+
+
+class TestSeedingEarlyStop:
+    """Seeding stops early when every point already sits on a center.  The
+    lockstep has drawn the row's uniforms in one call by then, and must
+    leave its generator where a lone run leaves it."""
+
+    def test_seeding_matches_serial_init(self):
+        xy = np.array(EARLY_STOP_POINTS)
+        pts = np.ascontiguousarray(xy.T)
+        ps = np.array([1, 2, 3, 4, 5, 5, 6, 6])
+        with mock.patch.object(baselines, "_rewind", wraps=baselines._rewind) as rewind:
+            for seed in range(20):
+                rngs = [np.random.Generator(np.random.PCG64(seed * 8 + b)) for b in range(8)]
+                refs = [np.random.Generator(np.random.PCG64(seed * 8 + b)) for b in range(8)]
+                for rng in rngs + refs:
+                    # As after an earlier probe: a 32-bit half is buffered.
+                    rng.integers(80)
+                c = baselines._seed_lockstep(pts, ps, rngs)
+                for b, p in enumerate(ps):
+                    assert np.array_equal(c[:, b, :p].T, _kmeanspp_init(xy, p, refs[b]))
+                    assert np.isinf(c[:, b, p:]).all()
+                    assert rngs[b].bit_generator.state == refs[b].bit_generator.state
+        assert rewind.call_count >= 20 * 4
+
+    @pytest.mark.parametrize("block", [1, 3, None])
+    def test_solve_matches_serial(self, block):
+        # Each trial probes p = 3, 5 and 4 of its 6 distinct positions.  At
+        # p = 5 seeding stops after four centers, and the p = 4 probe then
+        # draws from where a lone run left the generator.
+        inst = Instance(points=EARLY_STOP_POINTS, radius=0.3)
+        cfg = TrialConfig(trials=3)
+        with mock.patch.object(baselines, "_rewind", wraps=baselines._rewind) as rewind:
+            sol = kmeans_with_block(inst, 176, cfg, block, baselines.KMEANS_MAX_ITERS)
+        assert rewind.called
+        centers, newly = kmeans_serial(inst.points, inst.radius, 3, 176, baselines.KMEANS_MAX_ITERS)
         assert sol.centers == centers
         assert sol.newly_covered == newly
 

@@ -17,7 +17,7 @@ from diskcover.geometry import Disk, coverage_bound, covers, dist, within_radius
 from diskcover.bench import generate_topology
 
 from conftest import grid_point_lists, instances, offsets, scales
-from oracles import best_single_disk_extension, spiral_serial
+from oracles import best_single_disk_extension, local_cover_serial, spiral_serial
 
 
 def make_inst(points, r):
@@ -279,6 +279,39 @@ def spiral_cases(draw):
         pts.insert(draw(st.integers(0, len(pts))), pts[draw(st.integers(0, len(pts) - 1))])
     s, ox, oy = draw(scales), draw(offsets), draw(offsets)
     return make_inst([(x * s + ox, y * s + oy) for x, y in pts], r * s)
+
+
+class TestLocalCoverMatchesSerial:
+    """The flat candidate loops of local_cover decide every candidate as the
+    generator-based pruning in tests/oracles.py does."""
+
+    @given(spiral_cases(), st.data())
+    @settings(max_examples=200)
+    def test_same_result_as_serial(self, inst, data):
+        # A first call grows from a lone anchor over part of the points in a
+        # drawn order (the order sets the ties); a second call grows the
+        # result over the rest, as the spiral's two calls do.
+        pts = inst.points
+        anchor = data.draw(st.integers(min_value=0, max_value=inst.k - 1))
+        sec = [k for k in data.draw(st.permutations(range(inst.k))) if k != anchor]
+        split = data.draw(st.integers(min_value=0, max_value=len(sec)))
+        first = local_cover(pts[anchor], [anchor], sec[:split], inst)
+        assert first == local_cover_serial(pts[anchor], [anchor], sec[:split], inst)
+        second = local_cover(first.center, first.covered, sec[split:], inst)
+        assert second == local_cover_serial(first.center, first.covered, sec[split:], inst)
+
+    @pytest.mark.parametrize("r", [1.0, 2e-10, 1e6])
+    @pytest.mark.parametrize("pair", [False, True])
+    def test_candidate_at_exactly_a_bound(self, r, pair):
+        # A candidate exactly at the coverage bound from the location is
+        # absorbed where it stands; one exactly at the pair bound from the
+        # committed point is kept, then admitted.  Both tests compare with
+        # <=, as the serial pruning does.
+        d = 2.0 * coverage_bound(r) if pair else coverage_bound(r)
+        inst = make_inst([(0.0, 0.0), (d, 0.0)], r)
+        res = local_cover((0.0, 0.0), [0], [1], inst)
+        assert res == local_cover_serial((0.0, 0.0), [0], [1], inst)
+        assert res.covered == [0, 1]
 
 
 def assert_same_as_serial(inst, **kwargs):
