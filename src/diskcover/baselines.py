@@ -286,9 +286,10 @@ def _refine_lockstep(
     pad: np.ndarray,
     buf: np.ndarray,
     tmp_buf: np.ndarray,
+    r: float,
 ) -> np.ndarray:
     """Single-point refinement moves per row while one lowers the total
-    within-cluster squared error.
+    within-cluster squared error by more than ``1e-12 * r * r``.
 
     Sizes reweight the change: a point joining a cluster of n costs n/(n+1)
     of its squared distance, leaving refunds n/(n-1).  This escapes the
@@ -347,7 +348,7 @@ def _refine_lockstep(
         np.subtract(work, gain[:, :, None], out=work)
         delta_flat[own_cell] = np.inf
         flat = delta.argmin(axis=1)
-        active &= ~(delta_flat[row_start + flat] >= -1e-12)
+        active &= ~(delta_flat[row_start + flat] >= -1e-12 * r * r)
         mv = active.nonzero()[0]
         if mv.size == 0:
             break
@@ -419,7 +420,7 @@ def _lloyd_lockstep(
         lab = labels[start:stop]
         lab[:] = _batch_lockstep(pts, c, real, buf, tmp_buf)
         pad = np.where(real, 0.0, np.inf)
-        used = _refine_lockstep(pts, lab, c, pad, buf, tmp_buf) > 0
+        used = _refine_lockstep(pts, lab, c, pad, buf, tmp_buf, r) > 0
         g = (lab + (np.arange(rows) * bp)[:, None]).ravel()
         tiled = np.tile(pts, rows)
         lo = np.full((2, rows * bp), np.inf)

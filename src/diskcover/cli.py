@@ -19,7 +19,7 @@ from .bench import (
     report_json,
     run_campaign,
 )
-from .exact import DEFAULT_NODE_LIMIT, BudgetExceededError
+from .exact import BudgetExceededError
 from .files import SchemaError, emit_instance, emit_solution, parse_instance
 from .problem import solution_violations
 from .svg import render_svg
@@ -64,12 +64,7 @@ def build_parser() -> _Parser:
     solve.add_argument("--radius", type=float, default=None, help="override the file radius (km)")
     solve.add_argument("--seed", type=_seed, default=0)
     solve.add_argument("--trials", type=int, default=None, help="kmeans/random restarts")
-    solve.add_argument(
-        "--node-limit",
-        type=int,
-        default=DEFAULT_NODE_LIMIT,
-        help="oracle only: search node budget",
-    )
+    solve.add_argument("--node-limit", type=int, default=None, help="oracle search node budget")
     solve.add_argument("--output", default=None, help="solution file (default: stdout)")
     solve.add_argument("--svg", default=None, help="also render the placement to this file")
 
@@ -111,14 +106,18 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 def _cmd_solve(args: argparse.Namespace) -> int:
     if args.trials is not None and args.algo not in ("kmeans", "random"):
         raise UsageError("--trials only applies to kmeans and random")
+    if args.node_limit is not None and args.algo != "oracle":
+        raise UsageError("--node-limit only applies to oracle")
 
     inst = parse_instance(_read_text(args.input))
     try:
         if args.radius is not None:
             inst = inst.with_radius(args.radius)
-        cfg = TrialConfig(node_limit=args.node_limit)
+        cfg = TrialConfig()
         if args.trials is not None:
             cfg = replace(cfg, trials=args.trials)
+        if args.node_limit is not None:
+            cfg = replace(cfg, node_limit=args.node_limit)
     except ValueError as e:
         raise UsageError(str(e)) from e
     sol = SOLVERS[args.algo](inst, args.seed, cfg)

@@ -12,11 +12,11 @@ import numpy as np
 Point = tuple[float, float]
 
 # Shared coverage slack: a point at distance d counts as inside a disk of
-# radius rho when d <= rho * (1 + REL_TOL) + ABS_TOL.  Every radius-vs-r
-# comparison in the package uses the same rule so that boundary contacts
-# (points exactly at the coverage radius) survive floating point.
+# radius rho when d <= rho * (1 + REL_TOL).  Every radius-vs-r comparison in
+# the package uses the same rule so that boundary contacts (points exactly at
+# the coverage radius) survive floating point.  The slack is relative, so a
+# uniform scaling of an instance scales it too.
 REL_TOL = 1e-9
-ABS_TOL = 1e-12
 
 # Internal slack for the enclosing-disk recursion only.
 _MEC_EPS = 1.0 + 1e-14
@@ -38,7 +38,7 @@ def dist(a: Point, b: Point) -> float:
 
 def coverage_bound(radius: float) -> float:
     """Largest distance that still counts as within `radius` (the shared slack)."""
-    return radius * (1.0 + REL_TOL) + ABS_TOL
+    return radius * (1.0 + REL_TOL)
 
 
 def within_radius(radius: float, d: float) -> bool:
@@ -122,7 +122,7 @@ def convex_hull(points: Union[Sequence[Point], np.ndarray]) -> list[int]:
 
     Andrew's monotone chain over every input point, with exact orientation
     signs.  A caller that can rule out interior points cheaply passes only the
-    rest: the spiral runs an Akl-Toussaint prefilter first.
+    rest: the spiral passes the points outside a chord of a polygon of them.
     """
     xy = np.asarray(points, dtype=float)
     if len(xy) == 0:

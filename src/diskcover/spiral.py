@@ -17,14 +17,13 @@ import numpy as np
 from .geometry import Point, convex_hull, coverage_bound, dist, one_center, within_mask
 from .problem import Instance, Solution
 
-# The hull prefilter drops a point only when it sits inside the extreme
-# polygon by more than _HULL_MARGIN * _EPS * (largest |coordinate|) * (extent)
-# in cross-product units.  It evaluates each edge test untranslated, as
+# The chord test of _hull_input drops a point only when it sits inside every
+# chord by more than _HULL_MARGIN * (largest |coordinate|) * (extent) in
+# cross-product units.  It evaluates each chord untranslated, as
 # normal . p > normal . a, whose rounding grows with the coordinates'
 # magnitude: at offsets such as UTM coordinates a margin of extent**2 alone
 # would let a hull vertex pass as interior.
-_HULL_MARGIN = 64.0
-_EPS = float(np.finfo(float).eps)
+_HULL_MARGIN = 64.0 * float(np.finfo(float).eps)
 # Swapping an edge's (x, y) and scaling by this gives its left normal (-y, x).
 _LEFT_NORMAL = np.array([-1.0, 1.0])
 # Rows: the directions -y, x - y, x, x + y, y, y - x, -x, -x - y, in
@@ -151,59 +150,7 @@ def local_cover(
     return LocalCoverResult(center=loc, covered=covered)
 
 
-def _hull_margin(lo: Sequence[float], hi: Sequence[float]) -> float:
-    """The hull prefilter's margin, in cross-product units, for points whose
-    coordinates lie between the bounds ``lo`` and ``hi``."""
-    (lx, ly), (hx, hy) = lo, hi
-    extent = max(hx - lx, hy - ly)
-    magnitude = max(abs(lx), abs(ly), abs(hx), abs(hy))
-    return _HULL_MARGIN * _EPS * float(magnitude) * float(extent)
-
-
-def _inside_edges(xt: np.ndarray, a: np.ndarray, b: np.ndarray, margin: float) -> np.ndarray:
-    """Mask of the columns p of the ``(2, n)`` array ``xt`` that lie on the
-    inner (left) side of every edge ``a[i] -> b[i]`` by more than ``margin``.
-
-    The test ``(b - a) x (p - a) > margin`` is evaluated for all points at
-    once as ``normal . p > normal . a + margin``.
-    """
-    normal = (b - a)[:, ::-1] * _LEFT_NORMAL
-    offset = (normal * a).sum(axis=1) + margin
-    return (normal @ xt > offset[:, None]).all(axis=0)
-
-
-def _hull_candidates(xy: np.ndarray) -> np.ndarray:
-    """Ascending indices of the points not strictly inside the extreme polygon.
-
-    Akl & Toussaint (1978): the extremes along the eight directions of
-    _EXTREME_DIRECTIONS, taken in that order, are hull vertices in
-    counterclockwise order.  A point on the inner side of every edge of their
-    polygon by more than the rounding of a cross product is strictly interior
-    to the hull, so :func:`convex_hull` would never list it.  Every point on
-    or near the boundary survives, in input order, so duplicates of a vertex
-    still collapse to the lowest index.  With fewer than three distinct
-    extremes nothing is dropped.
-    """
-    xt = np.ascontiguousarray(xy.T)
-    ext = xy[np.argmax(_EXTREME_DIRECTIONS @ xt, axis=1)].tolist()
-    verts: list[Point] = []
-    for v in map(tuple, ext):
-        if not verts or v != verts[-1]:
-            verts.append(v)
-    if len(verts) > 1 and verts[0] == verts[-1]:
-        verts.pop()
-    if len(set(verts)) < 3:
-        return np.arange(len(xy))
-    # The extremes along x and y are among verts, so their bounds are the input's.
-    xs, ys = zip(*verts)
-    margin = _hull_margin((min(xs), min(ys)), (max(xs), max(ys)))
-    a = np.array(verts)
-    inside = _inside_edges(xt, a, np.concatenate((a[1:], a[:1])), margin)
-    return np.flatnonzero(~inside)
-
-
 def _hull_input(
-    xy: np.ndarray,
     uncovered: np.ndarray,
     sub: np.ndarray,
     ring: Sequence[int],
@@ -211,41 +158,56 @@ def _hull_input(
     margin: float,
 ) -> np.ndarray:
     """Ascending indices of the uncovered points the next hull must be given:
-    the surviving vertices of ``ring`` plus the points outside a chord.
+    the vertices of a polygon of them plus the points outside a chord.
 
     ``sub`` holds the coordinates of ``uncovered``; ``ring`` is the previous
-    hull and ``alive`` marks the points still uncovered.  This is exact,
-    because :func:`convex_hull` decides every turn exactly:
+    hull and ``alive`` marks the points still uncovered.  With three or more
+    survivors of ``ring`` the polygon is theirs, and its chords are its edges
+    across removed vertices.  Otherwise it is the polygon of the extremes
+    along _EXTREME_DIRECTIONS, taken in that order (Akl & Toussaint, 1978),
+    and every edge is a chord; with fewer than three distinct extremes every
+    point is kept.  This is exact, because :func:`convex_hull` decides every
+    turn exactly:
 
-    * the surviving vertices of ``ring`` are still hull vertices;
-    * any other vertex of the new hull lies strictly outside the survivors'
-      polygon.  It cannot lie outside an edge of the old hull, which holds
-      every uncovered point, so it lies strictly outside a chord: an edge
-      of that polygon across removed vertices;
+    * the polygon's vertices are uncovered points, and are kept;
+    * a point strictly inside every edge of a closed polygon lies inside the
+      convex hull of its vertices, so any other hull vertex is not.  Nor does
+      it lie outside an edge of the previous hull, which holds every
+      uncovered point, or on one between two survivors; so it is not
+      strictly inside some chord;
     * a point is kept unless it is inside every chord by more than
-      ``margin``, which covers the rounding of the chord test (the argument
-      of :func:`_hull_candidates`).  Kept points that sit on or near a chord
-      are no vertices, and the exact chain drops them.
+      ``margin``, which covers the rounding of the chord test.  Kept points
+      that sit on or near a chord are no vertices, and the exact chain drops
+      them.
 
     The chord test decides by coordinates, so a point enters with all its
-    duplicates, and each survivor is the lowest index of its coordinate: the
-    lowest index still stands for each run of duplicates.  The anchor of the
-    previous step is a ring vertex and its disk covers it, so with three or
-    more survivors there is at least one chord; with fewer the prefilter runs
-    afresh.
+    duplicates, and each polygon vertex is the lowest index of its
+    coordinate: the lowest index still stands for each run of duplicates.
+    The anchor of the previous step is a ring vertex and its disk covers it,
+    so three or more survivors leave at least one chord.
     """
     pos = [i for i, k in enumerate(ring) if alive[k]]
-    if len(pos) < 3:
-        return uncovered[_hull_candidates(sub)]
-    # Edge e runs from survivor a[e] to the next one, b[e]; it is a chord
-    # when the ring had vertices between them.
-    survivors = [ring[i] for i in pos]
-    a = xy[survivors]
-    b = np.concatenate((a[1:], a[:1]))
-    chords = [e for e, (i, j) in enumerate(zip(pos, pos[1:] + pos[:1])) if (j - i) % len(ring) != 1]
-    keep = ~_inside_edges(sub.T, a[chords], b[chords], margin)
-    keep[np.searchsorted(uncovered, survivors)] = True
-    return uncovered[keep]
+    if len(pos) >= 3:
+        verts = np.searchsorted(uncovered, [ring[i] for i in pos])
+        # Edge e runs from vertex e to the next one; it is a chord when the
+        # ring had vertices between them.
+        chords = [
+            e for e, (i, j) in enumerate(zip(pos, pos[1:] + pos[:1])) if (j - i) % len(ring) != 1
+        ]
+    else:
+        ext = np.argmax(_EXTREME_DIRECTIONS @ sub.T, axis=1)
+        verts = ext[ext != np.roll(ext, 1)]
+        if len(set(verts.tolist())) < 3:
+            return uncovered
+        chords = list(range(len(verts)))
+    a = sub[verts]
+    b = np.roll(a, -1, axis=0)
+    a, b = a[chords], b[chords]
+    # (b - a) x (p - a) > margin for all points at once, as normal . p > normal . a + margin.
+    normal = (b - a)[:, ::-1] * _LEFT_NORMAL
+    inside = (normal @ sub.T > ((normal * a).sum(axis=1) + margin)[:, None]).all(axis=0)
+    inside[verts] = False
+    return uncovered[~inside]
 
 
 def spiral_steps(
@@ -272,12 +234,12 @@ def spiral_steps(
     # The hull is carried from step to step: each step's hull input is
     # derived from the previous hull (see _hull_input).  The whole instance's
     # margin is at least that of any subset, so it errs towards keeping.
-    margin = _hull_margin(xy.min(axis=0), xy.max(axis=0))
+    margin = _HULL_MARGIN * float(np.abs(xy).max()) * float(np.ptp(xy, axis=0).max())
     boundary: list[int] = []
 
     while uncovered.size:
         sub = xy[uncovered]
-        cand = _hull_input(xy, uncovered, sub, boundary, alive, margin)
+        cand = _hull_input(uncovered, sub, boundary, alive, margin)
         boundary = cand[convex_hull(xy[cand])].tolist()
         bset = set(boundary)
 

@@ -49,7 +49,7 @@ def instances(draw, min_size=1, max_size=20):
 
 # np.hypot and math.hypot round the distance of this pair to neighbouring
 # floats on either side of coverage_bound(1.0).
-HYPOT_SPLIT_PAIR = [(0.0, 0.0), (0.882415817408481, 0.47047032551407847)]
+HYPOT_SPLIT_PAIR = [(0.0, 0.0), (0.3312114766100447, 0.9435565482586585)]
 
 # Uniform scalings from 1e-6 to 1e6 (a power of ten rounds the coordinates,
 # a power of two does not) and per-axis offsets up to 1e9 in either sign, for

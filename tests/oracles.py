@@ -171,7 +171,7 @@ def best_single_disk_extension(
             break
         for combo in itertools.combinations(sec, size):
             _, radius = brute_force_mec(list(prio) + list(combo))
-            if radius <= r * (1.0 + 1e-9) + 1e-12:
+            if radius <= coverage_bound(r):
                 best = size
                 break
     return best
@@ -239,7 +239,7 @@ def grid_cover_masks(points: Sequence[Point], r: float, divisions: int = 50) -> 
     gx = min_x + step * np.arange(nx)
     gy = min_y + step * np.arange(ny)
     centers = np.stack(np.meshgrid(gx, gy, indexing="ij"), axis=-1).reshape(-1, 2)
-    bound = r * (1.0 + 1e-9) + 1e-12
+    bound = coverage_bound(r)
     d2 = ((centers[:, None, :] - xy[None, :, :]) ** 2).sum(axis=2)
     in_disk = d2 <= bound * bound
     weights = 1 << np.arange(len(points), dtype=object)
@@ -489,7 +489,7 @@ def _lloyd_clusters(
         delta[src_sizes <= 1.0, :] = np.inf  # never empty a cluster
         flat = int(np.argmin(delta))
         i, dst = flat // p, flat % p
-        if delta[i, dst] >= -1e-12:
+        if delta[i, dst] >= -1e-12 * r * r:
             break
         s = int(labels[i])
         cents[s] = (counts[s] * cents[s] - xy[i]) / (counts[s] - 1.0)

@@ -30,7 +30,7 @@ from diskcover import (
 )
 from diskcover.bench import generate_topology
 from diskcover.files import emit_instance, parse_instance
-from diskcover.geometry import dist
+from diskcover.geometry import coverage_bound, dist
 from diskcover.spiral import spiral_steps
 
 from conftest import grid_point_lists, instances
@@ -310,7 +310,7 @@ class TestCriterion7Invariants:
         inst = Instance(points=pts, radius=r)
         sec = list(range(1, len(pts)))
         res = local_cover(pts[0], [0], sec, inst)
-        bound = 2.0 * r * (1.0 + 1e-9) + 1e-12
+        bound = 2.0 * coverage_bound(r)
         for k in sec:
             if k in res.covered:
                 continue

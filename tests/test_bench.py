@@ -6,7 +6,14 @@ from pathlib import Path
 
 import pytest
 
-from diskcover import Campaign, TrialConfig, generate_topology
+from diskcover import (
+    Campaign,
+    Instance,
+    Solution,
+    TrialConfig,
+    generate_topology,
+    solution_violations,
+)
 from diskcover import bench
 from diskcover.bench import (
     ALGORITHMS,
@@ -218,3 +225,36 @@ class TestReportFormats:
         for algorithm in report.algorithms:
             for ratio in report.ratios:
                 assert agg[(algorithm, ratio)] == report.mean_m(algorithm, ratio)
+
+
+class TestScaleInvariance:
+    """Disk counts do not change when an instance is uniformly scaled."""
+
+    CFGS = {"random": TrialConfig(trials=20), "kmeans": TrialConfig(trials=5)}
+    # Three radii apart: no disk covers both.
+    PAIR = Instance(points=[(0.0, 0.0), (3e-12, 0.0)], radius=1e-12)
+
+    @pytest.mark.parametrize("scale", [1e-12, 2.0**-40, 1e-9, 1e-6, 1e6])
+    def test_counts_equal_the_unscaled_counts(self, scale):
+        changed = []
+        for seed in range(500, 510):
+            inst = generate_topology(30, 4.0, seed, radius=1.0)
+            scaled = Instance(points=[(x * scale, y * scale) for x, y in inst.points], radius=scale)
+            for name in ALGORITHMS:
+                cfg = self.CFGS.get(name, TrialConfig())
+                want = bench.SOLVERS[name](inst, seed, cfg).m
+                got = bench.SOLVERS[name](scaled, seed, cfg)
+                assert not solution_violations(scaled, got)
+                if got.m != want:
+                    changed.append((seed, name, want, got.m))
+        assert changed == []
+
+    @pytest.mark.parametrize("name", ALGORITHMS)
+    def test_points_three_radii_apart_take_two_disks(self, name):
+        sol = bench.SOLVERS[name](self.PAIR, 0, TrialConfig(trials=5))
+        assert sol.m == 2
+        assert not solution_violations(self.PAIR, sol)
+
+    def test_one_disk_over_points_three_radii_apart_is_rejected(self):
+        one = Solution(algorithm="spiral", seed=0, centers=[(1.5e-12, 0.0)], newly_covered=[[0, 1]])
+        assert solution_violations(self.PAIR, one)

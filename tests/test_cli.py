@@ -118,6 +118,12 @@ class TestSolve:
         assert main(["solve", "--algo", "spiral", "--input", str(inst_path),
                      "--trials", "5"]) == EXIT_USAGE
 
+    def test_node_limit_with_spiral_usage_error(self, tmp_path, capsys):
+        inst_path = gen(tmp_path)
+        assert main(["solve", "--algo", "spiral", "--input", str(inst_path),
+                     "--node-limit", "5"]) == EXIT_USAGE
+        assert "--node-limit" in capsys.readouterr().err
+
     def test_unknown_algo_usage_error(self, tmp_path):
         inst_path = gen(tmp_path)
         assert main(["solve", "--algo", "dance", "--input", str(inst_path)]) == EXIT_USAGE

@@ -15,7 +15,7 @@ from diskcover.geometry import (
     within_mask,
     within_radius,
 )
-from diskcover.spiral import _hull_candidates
+from diskcover.spiral import _HULL_MARGIN, _hull_input
 
 from conftest import HYPOT_SPLIT_PAIR, grid_point_lists, offsets, point_lists, scales
 from oracles import brute_force_mec, convex_hull_serial, extreme_indices, one_center_serial
@@ -57,7 +57,7 @@ class TestCovers:
         # No single radius-r disk covers two points further apart than the
         # doubled coverage bound; direct consequence of the triangle inequality.
         a, b, c = pts
-        if dist(a, b) <= 2.0 * (r * (1.0 + 1e-9) + 1e-12):
+        if dist(a, b) <= 2.0 * coverage_bound(r):
             return
         d = Disk(c, r)
         assert not (covers(d, a) and covers(d, b))
@@ -207,10 +207,18 @@ def hull_cases(draw):
     return pts
 
 
+def first_hull_input(xy):
+    """The spiral's first hull input: its chord test with no previous hull,
+    at the margin the spiral takes for the instance."""
+    margin = _HULL_MARGIN * float(np.abs(xy).max()) * float(np.ptp(xy, axis=0).max())
+    idx = np.arange(len(xy))
+    return _hull_input(idx, xy, [], np.ones(len(xy), dtype=bool), margin)
+
+
 def prefiltered_hull(pts):
-    """The hull as the spiral computes it: the chain over the prefilter's survivors."""
+    """The hull as the spiral computes it: the chain over its chord test's survivors."""
     xy = np.array(pts)
-    keep = _hull_candidates(xy)
+    keep = first_hull_input(xy)
     return keep[convex_hull(xy[keep])].tolist()
 
 
@@ -236,16 +244,16 @@ class TestHullMatchesSerial:
 
     def test_prefilter_drops_the_interior(self):
         xy = np.array(uniform_points(2000, seed=62))
-        keep = _hull_candidates(xy)
+        keep = first_hull_input(xy)
         assert len(keep) < 200
         assert np.all(np.diff(keep) > 0)  # input order
         assert set(convex_hull_serial(xy.tolist())) <= set(keep.tolist())
 
     def test_prefilter_keeps_every_point_of_a_degenerate_set(self):
         line = np.array([(float(t), 2.0 * t) for t in range(50)])
-        assert _hull_candidates(line).tolist() == list(range(50))
+        assert first_hull_input(line).tolist() == list(range(50))
         same = np.ones((7, 2))
-        assert _hull_candidates(same).tolist() == list(range(7))
+        assert first_hull_input(same).tolist() == list(range(7))
 
     def test_duplicates_of_a_vertex_keep_lowest_index(self):
         pts = uniform_points(300, seed=63)

@@ -119,7 +119,7 @@ class TestLocalCoverProperties:
         # Twice the coverage slack: boundary admissions may stack one
         # rounding step of tolerance onto the enclosing radius.
         mec = one_center([pts[k] for k in res.covered])
-        assert mec.radius <= r + 2.0 * (r * 1e-9 + 1e-12)
+        assert mec.radius <= r + 2.0 * (coverage_bound(r) - r)
 
     @given(local_cover_cases())
     @settings(max_examples=80)
@@ -130,7 +130,7 @@ class TestLocalCoverProperties:
         inst = make_inst(pts, r)
         sec = [k for k in range(len(pts)) if k != anchor]
         res = local_cover(pts[anchor], [anchor], sec, inst)
-        two_r_bound = 2.0 * r * (1.0 + 1e-9) + 1e-12
+        two_r_bound = 2.0 * coverage_bound(r)
         for k in sec:
             if k in res.covered:
                 continue
