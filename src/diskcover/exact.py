@@ -7,9 +7,11 @@ a branch-and-bound set cover over their coverage bitmasks finds it.
 
 The centers come from a scalar loop over point pairs, which fixes each
 center's bits; their coverages are then decided in blocks by one
-:func:`~diskcover.geometry.within_mask` call per block.  The search bounds
-each node twice: first by a greedy packing of uncovered points no candidate
-covers two of, then, only where that does not prune, by counting.
+:func:`~diskcover.geometry.within_mask` call per block and packed into
+64-bit words, on which the dominated ones are dropped in bulk.  The search
+bounds each node twice: first by a greedy packing of uncovered points no
+candidate covers two of, then, only where that does not prune, by counting,
+as a threshold that the largest candidates are scanned against.
 """
 
 from __future__ import annotations
@@ -29,7 +31,14 @@ DEFAULT_NODE_LIMIT = 10_000_000
 
 # Centers per within_mask call in generate_candidates: enough to amortise
 # numpy's per-call cost, few enough that the (block, k) temporaries stay small.
-_BLOCK = 64
+# Swept over the coverage stage of eight K=80, D/r=2 instances (about 51 000
+# centers; within_mask's time, minimum of 21 runs): 32 -> 46.8 ms,
+# 64 -> 38.1 ms, 96 -> 33.8 ms, 128 -> 31.2 ms, 192 -> 29.4 ms,
+# 256 -> 28.3 ms; beyond 128 the whole generation no longer gained.
+_BLOCK = 128
+
+# Elements of the (coverages, kept, words) temporary of one subset test.
+_SUBSET_ELEMS = 1 << 16
 
 
 class BudgetExceededError(RuntimeError):
@@ -56,9 +65,10 @@ def generate_candidates(inst: Instance) -> list[CandidateDisk]:
 
     Candidates whose coverage is a subset of another's are dropped; equal
     coverages keep the earliest-emitted candidate.  Coverages are decided in
-    blocks of centers, and equal ones are merged on their packed bytes before
-    the subset test, which compares a candidate only with the kept candidates
-    that cover its lowest point (any superset must).
+    blocks of centers and packed into little-endian 64-bit words, and equal
+    ones are merged on those words' bytes before the subset test.  That test
+    keeps exactly the maximal coverages, one size class at a time, largest
+    first, each against every coverage kept so far in one numpy expression.
     """
     r = inst.radius
     pts = inst.points
@@ -86,32 +96,60 @@ def generate_candidates(inst: Instance) -> list[CandidateDisk]:
                 nx, ny = -(yj - yi) / d * h, (xj - xi) / d * h
                 flat.extend((mx + nx, my + ny, mx - nx, my - ny))
 
-    # The earliest center of each distinct coverage.  Bit k of the
-    # little-endian packing is point k.
+    # The earliest center of each distinct coverage, packed into
+    # little-endian 64-bit words: bit k of the packing is point k.
     xy = np.array(pts, dtype=float)
     centers = np.frombuffer(flat, dtype=float).reshape(-1, 2)
-    w = (k_total + 7) // 8
+    n_words = (k_total + 63) // 64
+    w = 8 * n_words
+    # Zero bytes fill each row's last word.
+    padded = np.zeros((min(_BLOCK, len(centers)), w), dtype=np.uint8)
     first: dict[bytes, int] = {}
     for s in range(0, len(centers), _BLOCK):
         block = within_mask(xy, centers[s : s + _BLOCK], bound)
-        raw = np.packbits(block, axis=1, bitorder="little").tobytes()
+        rows = padded[: len(block)]
+        rows[:, : (k_total + 7) // 8] = np.packbits(block, axis=1, bitorder="little")
+        raw = rows.tobytes()
         for j, o in enumerate(range(0, len(raw), w), s):
             first.setdefault(raw[o : o + w], j)
-    coverage = {i: int.from_bytes(b, "little") for b, i in first.items()}
+    earliest = list(first.values())
+    words = np.frombuffer(b"".join(first), dtype="<u8").reshape(-1, n_words)
+    del first  # its keys, one small object each, are all in words now
 
-    # Largest coverages first, so a superset is always kept before its
-    # subsets are tested; an empty coverage is dropped like any subset.
+    # Keep exactly the maximal coverages: a distinct coverage is dropped iff
+    # another strictly contains it.  Classes of equal size cannot contain
+    # one another, so each class, largest first, is tested against the
+    # coverages kept from the larger ones; an empty coverage is dropped like
+    # any subset.
+    sizes = np.bitwise_count(words).sum(axis=1).tolist()
+    by_size: dict[int, list[int]] = {}
+    for u in sorted(range(len(sizes)), key=sizes.__getitem__, reverse=True):
+        by_size.setdefault(sizes[u], []).append(u)
+    by_size.pop(0, None)
     kept: list[int] = []
-    kept_over: list[list[int]] = [[] for _ in range(k_total)]  # kept masks per point
-    for i in sorted(coverage, key=lambda i: (-coverage[i].bit_count(), i)):
-        m = coverage[i]
-        if not m or any(m | s == s for s in kept_over[(m & -m).bit_length() - 1]):
-            continue
-        kept.append(i)
-        for p in _bits(m):
-            kept_over[p].append(m)
-    kept.sort()
-    return [CandidateDisk((flat[2 * i], flat[2 * i + 1]), coverage[i]) for i in kept]
+    kept_not = np.empty_like(words)  # the complements of the kept words
+    for members in by_size.values():
+        prior = kept_not[: len(kept)]
+        step = max(1, _SUBSET_ELEMS // (n_words * len(kept) + 1))
+        inside = [
+            _contained(words[members[a : a + step]], prior) for a in range(0, len(members), step)
+        ]
+        members = [u for u, drop in zip(members, np.concatenate(inside).tolist()) if not drop]
+        kept_not[len(kept) : len(kept) + len(members)] = ~words[members]
+        kept += members
+    return [
+        CandidateDisk((flat[2 * i], flat[2 * i + 1]), int.from_bytes(words[u], "little"))
+        for i, u in sorted((earliest[u], u) for u in kept)
+    ]
+
+
+def _contained(test: np.ndarray, kept_not: np.ndarray) -> np.ndarray:
+    """Whether each row of ``test`` lies inside some row whose complement is
+    in ``kept_not``: ``(c & ~k) == 0`` in every word."""
+    outside = test[:, None, 0] & kept_not[None, :, 0]
+    for w in range(1, test.shape[1]):
+        outside |= test[:, None, w] & kept_not[None, :, w]
+    return (outside == 0).any(axis=1)
 
 
 def min_cover(inst: Instance, node_limit: int = DEFAULT_NODE_LIMIT) -> Solution:
@@ -124,10 +162,15 @@ def min_cover(inst: Instance, node_limit: int = DEFAULT_NODE_LIMIT) -> Solution:
     candidate covers together with it, and repeat; no candidate covers two
     taken points, so their count is a lower bound.  Only when that does not
     prune is the counting bound ceil(uncovered / best-remaining-coverage)
-    computed.  The bound in force is the larger of the two and each is
-    valid, so the search tree is a subtree of the counting bound's alone,
-    visited in the same order with the same incumbent updates: the cover is
-    the one that search returns, in no more nodes.
+    tested, as a threshold: with ``need`` disks short of tying the incumbent
+    (at least 2 there, as the packing took a point), it prunes unless some
+    candidate covers at least ceil(uncovered / (need - 1)) uncovered points.
+    Candidates are scanned largest first, so the scan stops at the first
+    that does or the first too small to.  The bound in force is the larger
+    of the two and each is valid, so the search tree is a subtree of the
+    counting bound's alone, visited in the same order with the same
+    incumbent updates: the cover is the one that search returns, in no more
+    nodes.
 
     Raises :class:`BudgetExceededError` once more than ``node_limit`` search
     nodes are expanded; it never silently returns a suboptimal cover.
@@ -177,6 +220,17 @@ def min_cover(inst: Instance, node_limit: int = DEFAULT_NODE_LIMIT) -> Solution:
     )
 
 
+def _reaches(sized: list[tuple[int, int]], rem_mask: int, least: int) -> bool:
+    """Whether some mask covers at least ``least`` points of ``rem_mask``;
+    ``sized`` holds the masks with their sizes, largest first."""
+    for size, m in sized:
+        if size < least:
+            return False
+        if (m & rem_mask).bit_count() >= least:
+            return True
+    return False
+
+
 def _search(
     masks: list[int],
     coverers: list[list[int]],
@@ -188,7 +242,14 @@ def _search(
     """Depth-first branch and bound from the incumbent ``best_sel``; returns
     the smallest selection found.  Iterative, so no state outlives the call."""
     best_m = len(best_sel)
-    n_coverers = [len(cs) for cs in coverers]
+    # The masks by descending size, for _reaches' early exit.
+    sized = sorted(((m.bit_count(), m) for m in masks), reverse=True)
+    # The points as one mask per coverer count, fewest coverers first: the
+    # branch point is the lowest uncovered point of the first class with one.
+    by_count: dict[int, int] = {}
+    for p, cs in enumerate(coverers):
+        by_count[len(cs)] = by_count.get(len(cs), 0) | 1 << p
+    fewest_first = [by_count[n] for n in sorted(by_count)]
     nodes = 0
     covered = 0
     chosen: list[int] = []
@@ -212,14 +273,16 @@ def _search(
             while rest and packed < need:
                 rest &= ~nbr[(rest & -rest).bit_length() - 1]
                 packed += 1
-            if packed < need:
-                max_cov = max([(m & rem_mask).bit_count() for m in masks])
-                if math.ceil(rem_mask.bit_count() / max_cov) < need:
-                    branch_pt = min(_bits(rem_mask), key=n_coverers.__getitem__)
-                    options = sorted(
-                        coverers[branch_pt], key=lambda i: (-(masks[i] & rem_mask).bit_count(), i)
-                    )
-                    stack.append((covered, iter(options)))
+            # The packing took a point, so here need >= 2, and the counting
+            # bound ceil(uncovered / max coverage) < need iff some mask
+            # covers at least ceil(uncovered / (need - 1)) of them.
+            if packed < need and _reaches(sized, rem_mask, -(-rem_mask.bit_count() // (need - 1))):
+                fewest = next(c for c in fewest_first if c & rem_mask) & rem_mask
+                branch_pt = (fewest & -fewest).bit_length() - 1
+                options = sorted(
+                    coverers[branch_pt], key=lambda i: (-(masks[i] & rem_mask).bit_count(), i)
+                )
+                stack.append((covered, iter(options)))
         # Move to the next untried branch of the deepest node that has one.
         while stack:
             parent, branches = stack[-1]

@@ -25,6 +25,11 @@ _MEC_EPS = 1.0 + 1e-14
 # orientation determinant left - right above it times |left| + |right| has the exact sign.
 _ORIENT_BOUND = (3.0 + 16.0 * 2.0**-53) * 2.0**-53
 
+# The squared limits at which within_mask compares squares: normal floats,
+# with room above, so that a sum of two squares overflows only far past the
+# band.
+_SQUARE_MIN, _SQUARE_MAX = 2.0**-1022, 2.0**1023
+
 
 class Disk(NamedTuple):
     center: Point
@@ -56,26 +61,42 @@ def within_mask(xy: np.ndarray, center: Union[Point, np.ndarray], limit: float) 
 
     ``center`` is one point, giving an ``(n,)`` mask, or an ``(m, 2)`` array
     of centers, giving an ``(m, n)`` mask whose row j is the mask of center j.
-    Decided exactly as :func:`dist` decides it.  ``np.hypot`` and the
-    ``math.hypot`` behind :func:`dist` may round one distance to neighbouring
-    floats, so ``np.hypot`` settles only the entries farther than ``1e-6 *
-    limit`` from the limit, and :func:`dist` itself decides the entries within
-    it; the band is relative, so it holds at every scale.  This is the
-    package's only bulk distance test.
+    Decided exactly as :func:`dist` decides it.  Where ``limit*limit`` is a
+    normal float below ``2**1023``, the squared distance ``dx*dx + dy*dy`` is
+    compared with it.  Each square is within a few units in the last place
+    of its exact value and the ``math.hypot`` behind :func:`dist` within one,
+    so every entry farther than ``1e-10 * limit*limit`` from the squared
+    limit is decided as :func:`dist` decides it, and :func:`dist` itself
+    decides the entries within that band.  The band is relative, so it holds
+    at every such scale: a square that underflows errs by far less than the
+    band, and one that overflows lies far outside it.  At any other limit
+    ``np.hypot`` takes the squares' place, with a band of ``1e-6 * limit``
+    on the distances.  This is the package's only bulk distance test.
     """
     if isinstance(center, np.ndarray):
-        d = np.hypot(xy[:, 0] - center[:, :1], xy[:, 1] - center[:, 1:])
-        mask = d <= limit
-        band = np.argwhere(np.abs(d - limit) <= limit * 1e-6).tolist()
-        if band:
+        dx, dy = xy[:, 0] - center[:, :1], xy[:, 1] - center[:, 1:]
+    else:
+        dx, dy = xy[:, 0] - center[0], xy[:, 1] - center[1]
+    lim = limit * limit
+    if limit > 0.0 and _SQUARE_MIN <= lim < _SQUARE_MAX:
+        with np.errstate(over="ignore"):  # an overflowed square is inf: outside
+            dx *= dx
+            dy *= dy
+            dx += dy
+        d, width = dx, lim * 1e-10
+    else:
+        d, lim, width = np.hypot(dx, dy), limit, limit * 1e-6
+    mask = d <= lim
+    d -= lim
+    band = np.abs(d, out=d) <= width
+    if isinstance(center, np.ndarray):
+        where = np.argwhere(band).tolist()
+        if where:
             cs, ps = center.tolist(), xy.tolist()
-            for j, i in band:
+            for j, i in where:
                 mask[j, i] = dist(cs[j], ps[i]) <= limit
         return mask
-    cx, cy = center
-    d = np.hypot(xy[:, 0] - cx, xy[:, 1] - cy)
-    mask = d <= limit
-    for i in np.flatnonzero(np.abs(d - limit) <= limit * 1e-6).tolist():
+    for i in np.flatnonzero(band).tolist():
         mask[i] = dist(center, (float(xy[i, 0]), float(xy[i, 1]))) <= limit
     return mask
 

@@ -6,7 +6,8 @@ minimum covers from exhaustive subset search, so each comparison is a genuine
 dual-route check.  The exceptions are the references at the end: the
 unpruned candidate generator that the oracle's pruning is checked against,
 the per-candidate generator and the counting-bound search that the oracle's
-block-wise coverage and packing bound replaced,
+block-wise coverage and packing bound replaced, the packing search with the
+full counting bound whose tree the threshold test must reproduce,
 the trial-by-trial k-means loop that the package's lockstep k-means replaced,
 the monotone chain over every point and the spiral loop that the spiral's
 prefiltered, carried hull replaced, the candidate pruning that
@@ -22,7 +23,7 @@ import itertools
 import math
 import random
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -412,6 +413,114 @@ def min_cover_serial(inst: Instance, node_limit: int) -> tuple[Solution, int]:
         runtime=0.0,
     )
     return sol, nodes
+
+
+def min_cover_packing_serial(inst: Instance, node_limit: int) -> tuple[Solution, int]:
+    """The oracle's search with the packing bound and the full counting bound
+    ``max([(m & rem_mask).bit_count() for m in masks])``, and the number of
+    nodes it expanded.
+
+    Built as :func:`diskcover.exact.min_cover` builds its search, over
+    :func:`candidates_serial`; :func:`_packing_search` is the search loop
+    verbatim but for the node count it returns.  ``min_cover`` must return
+    this cover at ``node_limit`` equal to that count and raise one node
+    below it.
+    """
+    cands = candidates_serial(inst)
+    masks = [c.coverage for c in cands]
+    k_total = inst.k
+    full = (1 << k_total) - 1
+
+    coverers: list[list[int]] = [[] for _ in range(k_total)]
+    for i, m in enumerate(masks):
+        for p in _bits(m):
+            coverers[p].append(i)
+    nbr = [0] * k_total
+    for p, cs in enumerate(coverers):
+        for i in cs:
+            nbr[p] |= masks[i]
+
+    best_sel: list[int] = []
+    covered = 0
+    while covered != full:
+        pick = max(range(len(masks)), key=lambda i: ((masks[i] & ~covered).bit_count(), -i))
+        best_sel.append(pick)
+        covered |= masks[pick]
+
+    best_sel, nodes = _packing_search(masks, coverers, nbr, full, best_sel, node_limit)
+
+    newly_all: list[list[int]] = []
+    assigned = 0
+    for i in best_sel:
+        newly_all.append(list(_bits(masks[i] & ~assigned)))
+        assigned |= masks[i]
+    sol = Solution(
+        algorithm="oracle",
+        seed=0,
+        centers=[cands[i].center for i in best_sel],
+        newly_covered=newly_all,
+        runtime=0.0,
+    )
+    return sol, nodes
+
+
+def _bits(mask: int) -> Iterable[int]:
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _packing_search(
+    masks: list[int],
+    coverers: list[list[int]],
+    nbr: list[int],
+    full: int,
+    best_sel: list[int],
+    node_limit: int,
+) -> tuple[list[int], int]:
+    best_m = len(best_sel)
+    n_coverers = [len(cs) for cs in coverers]
+    nodes = 0
+    covered = 0
+    chosen: list[int] = []
+    stack: list[tuple[int, Iterator[int]]] = []
+    while True:
+        nodes += 1
+        if nodes > node_limit:
+            raise BudgetExceededError(
+                f"exceeded {node_limit} search nodes (incumbent {best_m} unproven)"
+            )
+        if covered == full:
+            if len(chosen) < best_m:
+                best_sel = chosen.copy()
+                best_m = len(chosen)
+        else:
+            need = best_m - len(chosen)  # a bound this large prunes
+            rem_mask = full & ~covered
+            packed, rest = 0, rem_mask
+            while rest and packed < need:
+                rest &= ~nbr[(rest & -rest).bit_length() - 1]
+                packed += 1
+            if packed < need:
+                max_cov = max([(m & rem_mask).bit_count() for m in masks])
+                if math.ceil(rem_mask.bit_count() / max_cov) < need:
+                    branch_pt = min(_bits(rem_mask), key=n_coverers.__getitem__)
+                    options = sorted(
+                        coverers[branch_pt], key=lambda i: (-(masks[i] & rem_mask).bit_count(), i)
+                    )
+                    stack.append((covered, iter(options)))
+        while stack:
+            parent, branches = stack[-1]
+            del chosen[len(stack) - 1 :]
+            i = next(branches, None)
+            if i is not None:
+                chosen.append(i)
+                covered = parent | masks[i]
+                break
+            stack.pop()
+        else:
+            return best_sel, nodes
 
 
 # --- Serial k-means reference -------------------------------------------

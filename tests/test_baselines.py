@@ -229,6 +229,19 @@ class TestKmeansLockstep:
         assert sol.centers == centers
         assert sol.newly_covered == newly
 
+    @pytest.mark.parametrize("scale,offset", [(1e-6, 0.25), (1e6, -3e8)])
+    def test_matches_serial_reference_beyond_unit_scale(self, scale, offset):
+        # The refinement stops on a gain below 1e-12 * r * r; an absolute
+        # stop would refine these far more or far less than the reference.
+        base = generate_topology(80, 1.0, 10408, radius=1.0 / 6.0)
+        pts = [(offset + x * scale, offset + y * scale) for x, y in base.points]
+        inst = Instance(pts, radius=scale / 6.0)
+        sol = solve_kmeans(inst, 10408, TrialConfig(trials=11))
+        max_iters = baselines.KMEANS_MAX_ITERS
+        centers, newly = kmeans_serial(inst.points, inst.radius, 11, 10408, max_iters)
+        assert sol.centers == centers
+        assert sol.newly_covered == newly
+
 
 class TestKmeansAt100Trials:
     """K=80, D/r=10 solves at the table's 100 trials."""

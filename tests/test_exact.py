@@ -23,6 +23,7 @@ from oracles import (
     candidates_serial,
     candidates_unpruned,
     grid_cover_masks,
+    min_cover_packing_serial,
     min_cover_serial,
     min_cover_size_by_combinations,
     min_cover_size_by_enumeration,
@@ -145,6 +146,20 @@ def test_search_matches_counting_bound_search():
         sol = min_cover(inst, node_limit=nodes)
         assert sol.centers == ref.centers
         assert sol.newly_covered == ref.newly_covered
+
+
+def test_search_tree_is_the_full_count_search_tree():
+    # The threshold test decides each node as the full counting bound did,
+    # so min_cover expands exactly the reference's nodes: it proves the
+    # same cover in that many and runs out one node short of it.
+    for inst in _search_corpus():
+        ref, nodes = min_cover_packing_serial(inst, node_limit=200_000)
+        sol = min_cover(inst, node_limit=nodes)
+        assert sol.centers == ref.centers
+        assert sol.newly_covered == ref.newly_covered
+        if nodes > 1:
+            with pytest.raises(BudgetExceededError, match=f"exceeded {nodes - 1} search nodes"):
+                min_cover(inst, node_limit=nodes - 1)
 
 
 class TestMinCover:

@@ -451,3 +451,34 @@ class TestWithinMask:
         assert block.shape == (len(centers), len(pts))
         for row, c in zip(block.tolist(), centers):
             assert row == within_mask(xy, c, limit).tolist()
+
+    @pytest.mark.parametrize(
+        "limit",
+        [1e-160, 2.0**-540, 1e160, 2.0**511.75, 1e-150, 1.0],
+        ids=["subnormal", "zero", "infinite", "above-2**1023", "1e-150", "1"],
+    )
+    def test_extreme_limits(self, limit):
+        # Points on, just inside and just outside the circle of radius
+        # `limit`, and twice as far.  The first four limits have squares that
+        # are subnormal, zero, infinite or at least 2**1023, where the squares
+        # cannot decide and np.hypot must; the last two take the squares.
+        rng = np.random.Generator(np.random.PCG64(5))
+        theta = rng.uniform(0.0, 2.0 * math.pi, 800)
+        rho = limit * np.repeat([1.0 - 1e-6, 1.0, 1.0 + 1e-6, 2.0], 200)
+        pts = [(float(x), float(y)) for x, y in zip(rho * np.cos(theta), rho * np.sin(theta))]
+        xy = np.array(pts)
+        center = (0.0, 0.0)
+        assert within_mask(xy, center, limit).tolist() == [dist(center, p) <= limit for p in pts]
+        centers = [center] + pts[:5]
+        block = within_mask(xy, np.array(centers), limit)
+        assert block.tolist() == [[dist(c, p) <= limit for p in pts] for c in centers]
+
+    @pytest.mark.parametrize("limit", [1.0, 1e-160, 1e160, 1e299])
+    def test_points_1e300_apart(self, limit):
+        # The squares of these differences overflow.
+        pts = [(0.0, 0.0), (1e300, 0.0), (-1e300, 1e300), (0.0, -1e300), (1e300, 1e300)]
+        xy = np.array(pts)
+        block = within_mask(xy, xy, limit)
+        assert block.tolist() == [[dist(c, p) <= limit for p in pts] for c in pts]
+        for c in pts:
+            assert within_mask(xy, c, limit).tolist() == [dist(c, p) <= limit for p in pts]

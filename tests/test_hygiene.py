@@ -220,12 +220,21 @@ HEAVY_MODULES = ("scipy", "numpy.ma")
 
 
 def test_import_loads_no_heavy_module():
+    # Importing every module, then one small oracle, k-means and spiral
+    # solve: a call can load what an import does not (np.unique loads
+    # numpy.ma, about 1.9 MB of peak resident memory).
     package = ROOT / "src" / "diskcover"
     names = sorted(f"diskcover.{p.stem}" for p in package.glob("*.py") if p.stem != "__init__")
     code = (
         "import importlib, sys\n"
         f"for name in {['diskcover'] + names!r}:\n"
         "    importlib.import_module(name)\n"
+        "import diskcover as dc\n"
+        "pts = [(0.0, 0.0), (1.0, 0.2), (0.3, 1.1), (2.5, 2.0), (0.0, 0.0)]\n"
+        "inst = dc.Instance(pts, radius=0.8)\n"
+        "dc.min_cover(inst)\n"
+        "dc.solve_kmeans(inst, 0, dc.TrialConfig(trials=3))\n"
+        "dc.solve_spiral(inst)\n"
         "print('\\n'.join(sys.modules))\n"
     )
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
