@@ -83,6 +83,9 @@ class Campaign:
         unknown = set(self.algorithms) - set(ALGORITHMS)
         if unknown:
             raise ValueError(f"unknown algorithms: {sorted(unknown)}")
+        for name, values in (("ratios", self.ratios), ("algorithms", self.algorithms)):
+            if len(set(values)) != len(values):
+                raise ValueError(f"{name} must not repeat an entry, got {list(values)}")
 
 
 @dataclass

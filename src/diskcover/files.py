@@ -1,7 +1,9 @@
 """JSON instance and solution documents.
 
-Numbers are written with 12 significant digits, which round-trips every value
-the tools produce and keeps regenerated files byte-identical.
+Instance numbers and ``runtime_ms`` carry 12 significant digits, which keeps
+regenerated files byte-identical.  Solution centers are written exactly (the
+shortest form that reads back as the same float): an optimal center lies
+exactly r from two points, and 12 digits would move it past the slack.
 """
 
 from __future__ import annotations
@@ -138,7 +140,7 @@ def parse_solution(text: str) -> tuple[Solution, bool]:
 
 
 def emit_solution(sol: Solution, feasible: bool) -> str:
-    centers = ",\n".join(f"    [{_fmt(x)}, {_fmt(y)}]" for x, y in sol.centers)
+    centers = ",\n".join(f"    [{float(x)!r}, {float(y)!r}]" for x, y in sol.centers)
     groups = ",\n".join(
         "    [" + ", ".join(str(k) for k in group) + "]" for group in sol.newly_covered
     )

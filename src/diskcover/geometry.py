@@ -71,12 +71,12 @@ def within_mask(xy: np.ndarray, center: Union[Point, np.ndarray], limit: float) 
     at every such scale: a square that underflows errs by far less than the
     band, and one that overflows lies far outside it.  At any other limit
     ``np.hypot`` takes the squares' place, with a band of ``1e-6 * limit``
-    on the distances.  This is the package's only bulk distance test.
+    on the distances.  This is the package's only bulk distance test; one
+    point takes the same path as a block of one.
     """
-    if isinstance(center, np.ndarray):
-        dx, dy = xy[:, 0] - center[:, :1], xy[:, 1] - center[:, 1:]
-    else:
-        dx, dy = xy[:, 0] - center[0], xy[:, 1] - center[1]
+    given = np.asarray(center, dtype=float)
+    cs = given.reshape(-1, 2)
+    dx, dy = xy[:, 0] - cs[:, :1], xy[:, 1] - cs[:, 1:]
     lim = limit * limit
     if limit > 0.0 and _SQUARE_MIN <= lim < _SQUARE_MAX:
         with np.errstate(over="ignore"):  # an overflowed square is inf: outside
@@ -88,17 +88,10 @@ def within_mask(xy: np.ndarray, center: Union[Point, np.ndarray], limit: float) 
         d, lim, width = np.hypot(dx, dy), limit, limit * 1e-6
     mask = d <= lim
     d -= lim
-    band = np.abs(d, out=d) <= width
-    if isinstance(center, np.ndarray):
-        where = np.argwhere(band).tolist()
-        if where:
-            cs, ps = center.tolist(), xy.tolist()
-            for j, i in where:
-                mask[j, i] = dist(cs[j], ps[i]) <= limit
-        return mask
-    for i in np.flatnonzero(band).tolist():
-        mask[i] = dist(center, (float(xy[i, 0]), float(xy[i, 1]))) <= limit
-    return mask
+    for f in np.flatnonzero(np.abs(d, out=d) <= width).tolist():
+        j, i = divmod(f, len(xy))
+        mask[j, i] = dist(cs[j].tolist(), xy[i].tolist()) <= limit
+    return mask if given.ndim == 2 else mask[0]
 
 
 def _half_hull(xs: list[float], ys: list[float], positions: Iterable[int]) -> list[int]:

@@ -259,11 +259,6 @@ def grid_cover_masks(points: Sequence[Point], r: float, divisions: int = 50) -> 
     return kept
 
 
-def min_grid_cover_size(points: Sequence[Point], r: float, divisions: int = 50) -> int:
-    masks = grid_cover_masks(points, r, divisions)
-    return min_cover_size_by_enumeration(masks, len(points))
-
-
 # --- Unpruned candidate reference ----------------------------------------
 
 

@@ -158,6 +158,15 @@ class TestCampaignArguments:
         with pytest.raises(ValueError, match="side / ratio"):
             small_campaign(side=side, ratios=[2.0, ratio])
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [{"ratios": [2.0, 3.0, 2.0]}, {"algorithms": ("spiral", "strip", "spiral")}],
+        ids=["ratios", "algorithms"],
+    )
+    def test_rejects_a_repeated_entry(self, overrides):
+        with pytest.raises(ValueError, match="must not repeat"):
+            small_campaign(**overrides)
+
     def test_accepts_extreme_ratios_with_a_valid_radius(self):
         for side, ratio in [(1.0, 1e-300), (1e-300, 1e-8), (1.0, 1e300)]:
             assert math.isfinite(side / ratio) and side / ratio > 0

@@ -5,10 +5,10 @@ import sys
 import pytest
 
 from diskcover.baselines import TrialConfig
-from diskcover.bench import ALGORITHMS, SOLVERS, Campaign, run_campaign
+from diskcover.bench import ALGORITHMS, SOLVERS, Campaign, generate_topology, run_campaign
 from diskcover.cli import EXIT_BUDGET, EXIT_IO, EXIT_OK, EXIT_USAGE, main
-from diskcover.files import emit_solution, parse_instance, parse_solution
-from diskcover.problem import solution_violations
+from diskcover.files import emit_instance, emit_solution, parse_instance, parse_solution
+from diskcover.problem import Instance, solution_violations
 
 
 def gen(tmp_path, name="inst.json", k=6, side=2.0, radius=1.0, seed=4):
@@ -176,6 +176,23 @@ class TestSolve:
         assert main(["solve", "--algo", "oracle", "--input", str(inst_path),
                      "--node-limit", "1"]) == EXIT_BUDGET
 
+    @pytest.mark.parametrize("algo", ALGORITHMS)
+    def test_written_cover_reverifies_far_from_origin(self, tmp_path, algo):
+        # An oracle center lies exactly r from two points: written with 12
+        # significant digits at coordinates near 1e3, it no longer covers them.
+        base = generate_topology(20, 3.0, 900, radius=0.6)
+        far = Instance([(x + 1e3, y + 1e3) for x, y in base.points], radius=0.6)
+        inst_path = tmp_path / "far.json"
+        inst_path.write_text(emit_instance(far))
+        out = tmp_path / "sol.json"
+        argv = ["solve", "--algo", algo, "--input", str(inst_path), "--output", str(out)]
+        if algo in ("kmeans", "random"):
+            argv += ["--trials", "3"]
+        assert main(argv) == EXIT_OK
+        sol, feasible = parse_solution(out.read_text())
+        assert feasible is True
+        assert solution_violations(parse_instance(inst_path.read_text()), sol) == []
+
 
 class TestSolveMatchesBench:
     """`solve` and `bench` run the same solver for the same instance and seed."""
@@ -258,6 +275,9 @@ class TestBench:
             ["--ratios", "nan"],
             ["--ratios", "2", "--seed", "-1"],
             ["--ratios", "1e-320"],  # side / ratio overflows to an infinite radius
+            ["--ratios", "2,3,2"],
+            ["--ratios", "2,2.0"],
+            ["--ratios", "2", "--algos", "spiral,strip,spiral"],
         ],
     )
     def test_out_of_range_usage_error(self, tmp_path, capsys, extra):

@@ -180,6 +180,21 @@ class TestMinCover:
         assert sol.m == min_cover_size_by_enumeration(masks, inst.k)
         assert not solution_violations(inst, sol)
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="the pair-circle centers round by about 4e-9 at 2**24, past the "
+        "1e-9 * r slack, so no candidate covers the pair; the fix is a "
+        "magnitude term in the coverage slack",
+    )
+    def test_optimum_far_from_the_origin_is_not_beaten(self):
+        # 1.99 apart, so one disk of radius 1 covers both: the spiral finds
+        # it, and at the origin the oracle does too.
+        far = 2.0**24
+        inst = Instance(points=[(far, -far), (far + 1.99, -far)], radius=1.0)
+        spiral = solve_spiral(inst)
+        assert not solution_violations(inst, spiral)
+        assert min_cover(inst).m <= spiral.m
+
     @pytest.mark.parametrize("limit", [0, -3])
     def test_node_limit_below_one_rejected(self, limit):
         with pytest.raises(ValueError):

@@ -150,6 +150,40 @@ def test_every_keyword_parameter_is_passed():
     assert unpassed_keywords(ROOT / "src" / "diskcover", [ROOT / "perfbench"]) == []
 
 
+def helpers_unread(module: Path, tests: Path) -> list[str]:
+    """Top-level functions of ``module`` that no module under ``tests`` reads
+    outside the function's own definition.
+
+    A function counts as read where its name is loaded as a bare name or as
+    an attribute (``oracles.helper``); a read inside its own body, as in a
+    recursion, does not count.
+    """
+    defined = [n.name for n in ast.parse(module.read_text()).body if isinstance(n, ast.FunctionDef)]
+    read: set[str] = set()
+    for path in tests.rglob("*.py"):
+        for top in ast.parse(path.read_text()).body:
+            own = top.name if path == module and isinstance(top, ast.FunctionDef) else None
+            for node in ast.walk(top):
+                if isinstance(getattr(node, "ctx", None), ast.Load) and _name_of(node) != own:
+                    read.add(_name_of(node))
+    return [name for name in defined if name not in read]
+
+
+def test_every_reference_helper_is_read():
+    assert helpers_unread(ROOT / "tests" / "oracles.py", ROOT / "tests") == []
+
+
+def test_flags_a_reference_helper_no_test_reads(tmp_path):
+    (tmp_path / "oracles.py").write_text(
+        "def _step(n):\n    return n - 1\n\n"
+        "def used(n):\n    return _step(n)\n\n"
+        "def recursive(n):\n    return recursive(n - 1) if n else 0\n\n"
+        "def unused():\n    return used(1)\n"
+    )
+    (tmp_path / "test_a.py").write_text("import oracles\n\ndef test_a():\n    oracles.used(2)\n")
+    assert helpers_unread(tmp_path / "oracles.py", tmp_path) == ["recursive", "unused"]
+
+
 class TestUnusedImports:
     def test_flags_an_unread_import(self):
         assert unused_imports("import math\nfrom os import path as p\n") == [
