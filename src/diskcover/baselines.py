@@ -371,9 +371,8 @@ def _refine_lockstep(
 
 
 def _lloyd_lockstep(
-    xy: np.ndarray,
+    inst: Instance,
     ps: np.ndarray,
-    r: float,
     rngs: list[np.random.Generator],
     buf: np.ndarray,
     tmp_buf: np.ndarray,
@@ -393,9 +392,10 @@ def _lloyd_lockstep(
     the labels to ``labels`` (B, n) and returns whether each row's clusters
     all fit in a radius-r disk.
     """
+    r = inst.radius
     b_rows, pm = len(ps), int(ps[-1])
-    n = len(xy)
-    pts = np.ascontiguousarray(xy.T)
+    n = inst.k
+    pts = np.ascontiguousarray(inst.xy.T)
     seeds = _seed_lockstep(pts, ps, rngs)
     # Feasibility over per-cluster bounding boxes.  Half the larger extent
     # lower-bounds the enclosing radius (too wide: reject); every member lies
@@ -437,7 +437,7 @@ def _lloyd_lockstep(
     check = unsure & feasible[:, None]
     for b in np.flatnonzero(check.any(axis=1)):
         for j in np.flatnonzero(check[b]):
-            mec = one_center([(q[0], q[1]) for q in xy[labels[b] == j]])
+            mec = one_center([inst.points[k] for k in np.flatnonzero(labels[b] == j).tolist()])
             if not within_radius(r, mec.radius):
                 feasible[b] = False
                 break
@@ -459,12 +459,11 @@ def solve_kmeans(inst: Instance, seed: int = 0, cfg: Optional[TrialConfig] = Non
     running the trials one after another.
     """
     cfg = cfg or TrialConfig()
-    r = inst.radius
+    pts = inst.points
     t0 = time.perf_counter()
-    xy = np.asarray(inst.points, dtype=float)
     # Distinct positions by set, not np.unique, which imports numpy.ma (about
     # 1.2 MB resident) on first use.
-    n, n_distinct = len(xy), len(set(map(tuple, xy.tolist())))
+    n, n_distinct = inst.k, len(set(pts))
     size = min(max(_KMEANS_BLOCK_ELEMS, n * n_distinct), cfg.trials * n * n_distinct)
     buf, tmp_buf = np.empty(size), np.empty(size)
 
@@ -477,9 +476,8 @@ def solve_kmeans(inst: Instance, seed: int = 0, cfg: Optional[TrialConfig] = Non
         # Similar counts share a block, so little of it is padding.
         live = sorted(probes, key=probes.__getitem__)
         feasible = _lloyd_lockstep(
-            xy,
+            inst,
             np.array([probes[t] for t in live]),
-            r,
             [rngs[t] for t in live],
             buf,
             tmp_buf,
@@ -499,7 +497,7 @@ def solve_kmeans(inst: Instance, seed: int = 0, cfg: Optional[TrialConfig] = Non
             # Unreachable in practice: one cluster per distinct position has
             # radius 0.
             first: dict[tuple[float, float], int] = {}
-            labels_t = np.array([first.setdefault((q[0], q[1]), len(first)) for q in xy])
+            labels_t = np.array([first.setdefault(p, len(first)) for p in pts])
         m = np.count_nonzero(np.bincount(labels_t))
         if best is None or m < best_m:
             best, best_m = labels_t, m
@@ -508,10 +506,10 @@ def solve_kmeans(inst: Instance, seed: int = 0, cfg: Optional[TrialConfig] = Non
     centers: list[Point] = []
     newly_all: list[list[int]] = []
     for j in np.flatnonzero(np.bincount(best)):
-        members = np.flatnonzero(best == j)
-        mec = one_center([(q[0], q[1]) for q in xy[members]])
+        members = np.flatnonzero(best == j).tolist()
+        mec = one_center([pts[k] for k in members])
         centers.append(mec.center)
-        newly_all.append([int(k) for k in members])
+        newly_all.append(members)
 
     return Solution(
         algorithm="kmeans",
@@ -527,8 +525,8 @@ def solve_random(inst: Instance, seed: int = 0, cfg: Optional[TrialConfig] = Non
     cfg = cfg or TrialConfig()
     r = inst.radius
     t0 = time.perf_counter()
-    xy = np.asarray(inst.points, dtype=float)
-    k_total = len(xy)
+    xy = inst.xy
+    k_total = inst.k
     bound = coverage_bound(r)
     # The points each drawn center reaches, ascending, shared by every pass.
     reach: dict[int, np.ndarray] = {}
@@ -543,7 +541,7 @@ def solve_random(inst: Instance, seed: int = 0, cfg: Optional[TrialConfig] = Non
         while alive.any():
             live = np.flatnonzero(alive)
             pick = int(live[int(rng.integers(live.size))])
-            center = (float(xy[pick, 0]), float(xy[pick, 1]))
+            center = inst.points[pick]
             if pick not in reach:
                 reach[pick] = np.flatnonzero(within_mask(xy, center, bound))
             near = reach[pick]

@@ -46,9 +46,7 @@ def generate_topology(k: int, side: float, seed: int, radius: float) -> Instance
     if not (math.isfinite(side) and side > 0):
         raise ValueError("side must be finite and positive")
     rng = np.random.Generator(np.random.PCG64(seed))
-    xy = rng.random((k, 2)) * side
-    points = [(float(x), float(y)) for x, y in xy]
-    return Instance(points=points, radius=radius, region_side=side)
+    return Instance(points=rng.random((k, 2)) * side, radius=radius, region_side=side)
 
 
 @dataclass

@@ -86,12 +86,8 @@ def build_parser() -> _Parser:
 def _read_text(path: str) -> str:
     try:
         return Path(path).read_text()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise SchemaError(f"cannot read {path}: {e}") from e
-
-
-def _write_text(path: str, text: str) -> None:
-    Path(path).write_text(text)
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
@@ -99,7 +95,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         inst = generate_topology(args.k, args.side, args.seed, radius=args.radius)
     except ValueError as e:
         raise UsageError(str(e)) from e
-    _write_text(args.output, emit_instance(inst))
+    Path(args.output).write_text(emit_instance(inst))
     return EXIT_OK
 
 
@@ -130,9 +126,9 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     if args.output is None:
         sys.stdout.write(text)
     else:
-        _write_text(args.output, text)
+        Path(args.output).write_text(text)
     if args.svg is not None:
-        _write_text(args.svg, render_svg(inst, sol))
+        Path(args.svg).write_text(render_svg(inst, sol))
     return EXIT_OK
 
 

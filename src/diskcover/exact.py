@@ -78,7 +78,7 @@ def generate_candidates(inst: Instance) -> list[CandidateDisk]:
     # The centers' coordinates, x then y: the same floats as tuples would
     # hold, at 16 bytes a center instead of about 110, and viewable by numpy
     # without a copy.
-    flat = array("d", [c for p in pts for c in p])
+    flat = array("d", inst.xy.tobytes())
     pair_bound = 2.0 * bound
     for i in range(k_total):
         xi, yi = pts[i]
@@ -98,7 +98,7 @@ def generate_candidates(inst: Instance) -> list[CandidateDisk]:
 
     # The earliest center of each distinct coverage, packed into
     # little-endian 64-bit words: bit k of the packing is point k.
-    xy = np.array(pts, dtype=float)
+    xy = inst.xy
     centers = np.frombuffer(flat, dtype=float).reshape(-1, 2)
     n_words = (k_total + 63) // 64
     w = 8 * n_words

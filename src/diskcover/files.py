@@ -78,15 +78,15 @@ def parse_instance(text: str) -> Instance:
     if "radius" not in doc or "points" not in doc:
         raise SchemaError("instance requires 'radius' and 'points'")
     radius = _require_finite_number(doc["radius"], "radius")
-    if radius <= 0:
-        raise SchemaError(f"radius must be positive, got {radius}")
     side = None
     if "region_side" in doc and doc["region_side"] is not None:
         side = _require_finite_number(doc["region_side"], "region_side")
-        if side <= 0:
-            raise SchemaError(f"region_side must be positive, got {side}")
     points = _parse_point_list(doc["points"], "points")
-    return Instance(points=points, radius=radius, region_side=side)
+    # Instance checks the value ranges.
+    try:
+        return Instance(points=points, radius=radius, region_side=side)
+    except ValueError as e:
+        raise SchemaError(str(e)) from e
 
 
 def emit_instance(inst: Instance) -> str:

@@ -6,6 +6,8 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
 from .geometry import Disk, Point, covers
 
 
@@ -13,6 +15,9 @@ from .geometry import Disk, Point, covers
 class Instance:
     """The points to cover plus the common coverage radius.
 
+    ``points`` is a sequence of ``(x, y)`` pairs or an ``(n, 2)`` array,
+    stored as float tuples; ``xy`` holds the same floats as a read-only
+    ``(n, 2)`` array, which the solvers read (an attribute, not a field).
     ``radius`` is finite and positive.  ``region_side`` is metadata
     describing the square the points were drawn from (used by benchmarks and
     the SVG renderer).
@@ -23,15 +28,19 @@ class Instance:
     region_side: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if not self.points:
+        if len(self.points) == 0:
             raise ValueError("Instance needs at least one point")
         coerced = []
         for p in self.points:
+            if len(p) != 2:
+                raise ValueError(f"a point needs exactly two coordinates: {p!r}")
             x, y = float(p[0]), float(p[1])
             if not (math.isfinite(x) and math.isfinite(y)):
                 raise ValueError(f"non-finite point coordinates: {p!r}")
             coerced.append((x, y))
         self.points = coerced
+        self.xy = np.array(coerced, dtype=float)
+        self.xy.flags.writeable = False
         self.radius = float(self.radius)
         if not (math.isfinite(self.radius) and self.radius > 0.0):
             raise ValueError(f"radius must be finite and positive: {self.radius}")
@@ -45,7 +54,7 @@ class Instance:
         return len(self.points)
 
     def with_radius(self, radius: float) -> "Instance":
-        return Instance(points=list(self.points), radius=radius, region_side=self.region_side)
+        return Instance(points=self.points, radius=radius, region_side=self.region_side)
 
 
 @dataclass

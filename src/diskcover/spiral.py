@@ -224,9 +224,9 @@ def spiral_steps(
     """
     r = inst.radius
     pts = inst.points
+    xy = inst.xy
     rng = np.random.Generator(np.random.PCG64(seed))
 
-    xy = np.array(pts, dtype=float)
     bound = coverage_bound(r)
     alive = np.ones(inst.k, dtype=bool)
     uncovered = np.arange(inst.k)

@@ -166,6 +166,12 @@ class TestSolve:
         bad.write_text("{not json")
         assert main(["solve", "--algo", "spiral", "--input", str(bad)]) == EXIT_IO
 
+    def test_undecodable_file_io_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b"\xff\xfe")
+        assert main(["solve", "--algo", "spiral", "--input", str(bad)]) == EXIT_IO
+        assert capsys.readouterr().err.startswith("error:")
+
     def test_unknown_key_io_error(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text('{"radius": 1, "points": [[0, 0]], "name": "x"}')

@@ -47,6 +47,11 @@ class TestInstanceSchema:
         with pytest.raises(SchemaError):
             parse_instance('{"radius": "wide", "points": [[0, 0]]}')
 
+    def test_nonpositive_region_side_rejected(self):
+        for side in ("0", "-2.5"):
+            with pytest.raises(SchemaError, match="region_side must be finite and positive"):
+                parse_instance(f'{{"radius": 1.0, "region_side": {side}, "points": [[0, 0]]}}')
+
     def test_empty_points_rejected(self):
         with pytest.raises(SchemaError):
             parse_instance('{"radius": 1.0, "points": []}')

@@ -4,6 +4,7 @@ import ast
 import os
 import subprocess
 import sys
+from array import array
 from pathlib import Path
 
 import pytest
@@ -182,6 +183,74 @@ def test_flags_a_reference_helper_no_test_reads(tmp_path):
     )
     (tmp_path / "test_a.py").write_text("import oracles\n\ndef test_a():\n    oracles.used(2)\n")
     assert helpers_unread(tmp_path / "oracles.py", tmp_path) == ["recursive", "unused"]
+
+
+def point_conversions(package: Path) -> list[str]:
+    """Calls that convert an instance's point list, outside ``problem.py``.
+
+    A conversion is an ``array`` or ``asarray`` call (``np.array``,
+    ``np.asarray``, ``array.array``) given, as a positional argument, a
+    ``.points`` attribute or a name that the enclosing function binds to one
+    (``pts = inst.points``).  ``Instance`` converts its points once, to
+    ``inst.xy``; a solver reads that instead.
+    """
+    def is_points(node: ast.AST) -> bool:
+        return isinstance(node, ast.Attribute) and node.attr == "points"
+
+    found: set[str] = set()
+    for path in sorted(package.glob("*.py")):
+        if path.name == "problem.py":
+            continue
+        tree = ast.parse(path.read_text())
+        scopes = [(tree, set())]
+        for fn in ast.walk(tree):
+            if isinstance(fn, ast.FunctionDef):
+                aliases = {
+                    t.id
+                    for node in ast.walk(fn)
+                    if isinstance(node, ast.Assign) and is_points(node.value)
+                    for t in node.targets
+                    if isinstance(t, ast.Name)
+                }
+                scopes.append((fn, aliases))
+        for scope, aliases in scopes:
+            for call in ast.walk(scope):
+                if (
+                    isinstance(call, ast.Call)
+                    and _name_of(call.func) in ("array", "asarray")
+                    and any(
+                        is_points(a) or (isinstance(a, ast.Name) and a.id in aliases)
+                        for a in call.args
+                    )
+                ):
+                    found.add(f"{path.name}:{call.lineno}")
+    return sorted(found)
+
+
+def test_points_are_converted_in_problem_only():
+    assert point_conversions(ROOT / "src" / "diskcover") == []
+
+
+def test_flags_a_point_conversion(tmp_path):
+    (tmp_path / "problem.py").write_text("xy = np.array(inst.points)\n")
+    (tmp_path / "m.py").write_text(
+        "import numpy as np\n"
+        "def a(inst):\n    return np.asarray(inst.points, dtype=float)\n"
+        "def b(inst):\n    pts = inst.points\n    return np.array(pts)\n"
+        "def c(inst):\n    return array('d', inst.xy.tobytes()), np.array(inst.radius)\n"
+        "def d(pts):\n    return np.array(pts)\n"
+    )
+    assert point_conversions(tmp_path) == ["m.py:3", "m.py:6"]
+
+
+def test_instance_xy_is_its_points_read_only():
+    # Imported here, so that the module itself needs only the standard library.
+    from diskcover import Instance
+
+    inst = Instance([(0, -0.0), (1e-300, 2.5), (-3, 4e300)], radius=1)
+    assert not inst.xy.flags.writeable
+    assert inst.xy.shape == (3, 2)
+    assert inst.xy.tobytes() == array("d", [c for p in inst.points for c in p]).tobytes()
 
 
 class TestUnusedImports:
