@@ -5,26 +5,27 @@ points sit on its boundary, and a disk covering one point can be centered on
 it.  Enumerating those candidate centers therefore preserves the optimum, and
 a branch-and-bound set cover over their coverage bitmasks finds it.
 
-The centers come from a scalar loop over point pairs, which fixes each
-center's bits; their coverages are then decided in blocks by one
-:func:`~diskcover.geometry.within_mask` call per block and packed into
-64-bit words, on which the dominated ones are dropped in bulk.  The search
-bounds each node twice: first by a greedy packing of uncovered points no
-candidate covers two of, then, only where that does not prune, by counting,
-as a threshold that the largest candidates are scanned against.
+The centers come from the co-coverable point pairs, found in blocks by
+:func:`~diskcover.geometry.within_mask` and placed in numpy with the scalar
+formula's rounding; their coverages are then decided in blocks by one
+``within_mask`` call per block and packed into 64-bit words, on which the
+dominated ones are dropped in bulk.  The search bounds each node three
+times, each only where the one before does not prune: by a greedy packing
+of uncovered points no candidate covers two of, taken lowest index first;
+by the same packing taken fewest neighbours first; and by counting, as a
+threshold that the largest candidates are scanned against.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from array import array
 from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
 
-from .geometry import Point, coverage_bound, dist, within_mask
+from .geometry import Point, coverage_bound, within_mask
 from .problem import Instance, Solution
 
 DEFAULT_NODE_LIMIT = 10_000_000
@@ -71,35 +72,14 @@ def generate_candidates(inst: Instance) -> list[CandidateDisk]:
     first, each against every coverage kept so far in one numpy expression.
     """
     r = inst.radius
-    pts = inst.points
+    xy = inst.xy
     k_total = inst.k
     bound = coverage_bound(r)
 
-    # The centers' coordinates, x then y: the same floats as tuples would
-    # hold, at 16 bytes a center instead of about 110, and viewable by numpy
-    # without a copy.
-    flat = array("d", inst.xy.tobytes())
-    pair_bound = 2.0 * bound
-    for i in range(k_total):
-        xi, yi = pts[i]
-        for j in range(i + 1, k_total):
-            d = dist(pts[i], pts[j])
-            if d == 0.0 or d > pair_bound:
-                continue
-            xj, yj = pts[j]
-            mx, my = (xi + xj) / 2.0, (yi + yj) / 2.0
-            h2 = r * r - (d / 2.0) ** 2
-            if h2 <= 0.0:
-                flat.extend((mx, my))
-            else:
-                h = math.sqrt(h2)
-                nx, ny = -(yj - yi) / d * h, (xj - xi) / d * h
-                flat.extend((mx + nx, my + ny, mx - nx, my - ny))
+    centers = np.concatenate([xy, _pair_centers(xy, r, 2.0 * bound)])
 
     # The earliest center of each distinct coverage, packed into
     # little-endian 64-bit words: bit k of the packing is point k.
-    xy = inst.xy
-    centers = np.frombuffer(flat, dtype=float).reshape(-1, 2)
     n_words = (k_total + 63) // 64
     w = 8 * n_words
     # Zero bytes fill each row's last word.
@@ -138,9 +118,40 @@ def generate_candidates(inst: Instance) -> list[CandidateDisk]:
         kept_not[len(kept) : len(kept) + len(members)] = ~words[members]
         kept += members
     return [
-        CandidateDisk((flat[2 * i], flat[2 * i + 1]), int.from_bytes(words[u], "little"))
+        CandidateDisk(tuple(centers[i].tolist()), int.from_bytes(words[u], "little"))
         for i, u in sorted((earliest[u], u) for u in kept)
     ]
+
+
+def _pair_centers(xy: np.ndarray, r: float, pair_bound: float) -> np.ndarray:
+    """Both radius-r circle centers through each pair of distinct points at
+    most ``pair_bound`` apart, or the midpoint alone where the half-distance
+    reaches r, as an ``(m, 2)`` array: pairs (i, j), i < j, ascending, and
+    each pair's ``+`` center before its ``-`` one.  Every float is the one
+    the scalar formula over :func:`~diskcover.geometry.dist` gives."""
+    # The pairs: within_mask decides d > pair_bound as dist does, and
+    # math.hypot gives d as dist does.
+    firsts, seconds = [], []
+    for s in range(0, len(xy), _BLOCK):
+        near = within_mask(xy, xy[s : s + _BLOCK], pair_bound)
+        i, j = np.nonzero(np.triu(near, s + 1))
+        firsts.append(i + s)
+        seconds.append(j)
+    pi, pj = xy[np.concatenate(firsts)], xy[np.concatenate(seconds)]
+    d = np.array(list(map(math.hypot, *(pi - pj).T.tolist())))
+    apart = d != 0.0
+    (xi, yi), (xj, yj), d = pi[apart].T, pj[apart].T, d[apart]
+    mx, my = (xi + xj) / 2.0, (yi + yj) / 2.0
+    # Per element in Python: CPython's ** 2 is libm pow, which can differ
+    # from numpy's v * v in the last place.
+    h2 = np.array([r * r - (v / 2.0) ** 2 for v in d.tolist()])
+    two = h2 > 0.0
+    h = np.sqrt(np.where(two, h2, 0.0))
+    nx, ny = -(yj - yi) / d * h, (xj - xi) / d * h
+    both = np.stack(
+        [np.where(two, mx + nx, mx), np.where(two, my + ny, my), mx - nx, my - ny], axis=1
+    ).reshape(-1, 2)
+    return both[np.stack([np.ones_like(two), two], axis=1).ravel()]
 
 
 def _contained(test: np.ndarray, kept_not: np.ndarray) -> np.ndarray:
@@ -159,21 +170,26 @@ def min_cover(inst: Instance, node_limit: int = DEFAULT_NODE_LIMIT) -> Solution:
     incumbent: branch on an uncovered point with the fewest covering
     candidates, trying them in order of new coverage.  Each node is bounded
     first by packing: take the lowest uncovered point, drop every point some
-    candidate covers together with it, and repeat; no candidate covers two
-    taken points, so their count is a lower bound.  Only when that does not
-    prune is the counting bound ceil(uncovered / best-remaining-coverage)
-    tested, as a threshold: with ``need`` disks short of tying the incumbent
-    (at least 2 there, as the packing took a point), it prunes unless some
-    candidate covers at least ceil(uncovered / (need - 1)) uncovered points.
-    Candidates are scanned largest first, so the scan stops at the first
-    that does or the first too small to.  The bound in force is the larger
-    of the two and each is valid, so the search tree is a subtree of the
-    counting bound's alone, visited in the same order with the same
-    incumbent updates: the cover is the one that search returns, in no more
-    nodes.
+    candidate covers together with it (its neighbours), and repeat; no
+    candidate covers two taken points, so their count is a lower bound.
+    Where that does not prune, the same packing takes the uncovered point
+    with the fewest neighbours first, ties by index, which tends to take
+    more (the min-degree rule for independent sets); the points are
+    relabelled once in that order, so it walks the lowest bits as the first
+    does.  Only when neither prunes is the counting bound
+    ceil(uncovered / best-remaining-coverage) tested, as a threshold: with
+    ``need`` disks short of tying the incumbent (at least 2 there, as the
+    packings took a point), it prunes unless some candidate covers at least
+    ceil(uncovered / (need - 1)) uncovered points.  Candidates are scanned
+    largest first, so the scan stops at the first that does or the first
+    too small to.  The bound in force is the largest of the three and each
+    is valid, so the search tree is a subtree of the counting bound's alone,
+    visited in the same order with the same incumbent updates: the cover is
+    the one that search returns, in no more nodes.
 
     Raises :class:`BudgetExceededError` once more than ``node_limit`` search
-    nodes are expanded; it never silently returns a suboptimal cover.
+    nodes are expanded, giving the incumbent and the larger packing of all
+    points as the gap left; it never silently returns a suboptimal cover.
     """
     if node_limit < 1:
         raise ValueError(f"node_limit must be >= 1: {node_limit}")
@@ -182,16 +198,7 @@ def min_cover(inst: Instance, node_limit: int = DEFAULT_NODE_LIMIT) -> Solution:
     masks = [c.coverage for c in cands]
     k_total = inst.k
     full = (1 << k_total) - 1
-
-    coverers: list[list[int]] = [[] for _ in range(k_total)]
-    for i, m in enumerate(masks):
-        for p in _bits(m):
-            coverers[p].append(i)
-    # The points that share a candidate with p (p among them), as a mask.
-    nbr = [0] * k_total
-    for p, cs in enumerate(coverers):
-        for i in cs:
-            nbr[p] |= masks[i]
+    coverers, nbr, pmasks, pnbr = _incidence(masks, k_total)
 
     # Greedy incumbent; every chosen disk covers something new, so the
     # recorded order yields non-empty per-disk assignments.
@@ -202,7 +209,7 @@ def min_cover(inst: Instance, node_limit: int = DEFAULT_NODE_LIMIT) -> Solution:
         best_sel.append(pick)
         covered |= masks[pick]
 
-    best_sel = _search(masks, coverers, nbr, full, best_sel, node_limit)
+    best_sel = _search(masks, pmasks, coverers, nbr, pnbr, full, best_sel, node_limit)
 
     centers: list[Point] = [cands[i].center for i in best_sel]
     newly_all: list[list[int]] = []
@@ -220,6 +227,47 @@ def min_cover(inst: Instance, node_limit: int = DEFAULT_NODE_LIMIT) -> Solution:
     )
 
 
+def _incidence(
+    masks: list[int], k_total: int
+) -> tuple[list[list[int]], list[int], list[int], list[int]]:
+    """The search's tables over the candidates' ``masks``: each point's
+    coverers, ascending; each point's neighbours (the points that share a
+    candidate with it, itself among them) as a mask; and the masks and the
+    neighbour masks relabelled so that bit q stands for the point of q-th
+    fewest neighbours, ties by index."""
+    n_bytes = (k_total + 7) // 8
+    raw = b"".join(m.to_bytes(n_bytes, "little") for m in masks)
+    packed = np.frombuffer(raw, dtype=np.uint8).reshape(len(masks), n_bytes)
+    cover = np.unpackbits(packed, axis=1, count=k_total, bitorder="little").astype(bool)
+    # nonzero walks cover.T row by row: points ascending, then candidates.
+    ends = cover.sum(axis=0).cumsum().tolist()
+    flat = np.nonzero(cover.T)[1].tolist()
+    coverers = [flat[a:b] for a, b in zip([0] + ends, ends)]
+    adjacent = cover.T @ cover  # boolean: some candidate covers both points
+    order = np.argsort(adjacent.sum(axis=1), kind="stable")
+    return coverers, _ints(adjacent), _ints(cover[:, order]), _ints(adjacent[order][:, order])
+
+
+def _ints(bits: np.ndarray) -> list[int]:
+    """Each row of the boolean array ``bits`` as an int, bit k from column k."""
+    packed = np.packbits(bits, axis=1, bitorder="little")
+    w = packed.shape[1]
+    raw = packed.tobytes()
+    return [int.from_bytes(raw[o : o + w], "little") for o in range(0, len(raw), w)]
+
+
+def _packing(nbr: list[int], rest: int, need: int) -> int:
+    """Greedy packing of ``rest``, capped at ``need``: take its lowest point,
+    drop the point's neighbours ``nbr``, repeat.  No candidate covers two
+    taken points, so their count is a lower bound on the disks ``rest``
+    needs."""
+    packed = 0
+    while rest and packed < need:
+        rest &= ~nbr[(rest & -rest).bit_length() - 1]
+        packed += 1
+    return packed
+
+
 def _reaches(sized: list[tuple[int, int]], rem_mask: int, least: int) -> bool:
     """Whether some mask covers at least ``least`` points of ``rem_mask``;
     ``sized`` holds the masks with their sizes, largest first."""
@@ -233,14 +281,18 @@ def _reaches(sized: list[tuple[int, int]], rem_mask: int, least: int) -> bool:
 
 def _search(
     masks: list[int],
+    pmasks: list[int],
     coverers: list[list[int]],
     nbr: list[int],
+    pnbr: list[int],
     full: int,
     best_sel: list[int],
     node_limit: int,
 ) -> list[int]:
     """Depth-first branch and bound from the incumbent ``best_sel``; returns
-    the smallest selection found.  Iterative, so no state outlives the call."""
+    the smallest selection found.  ``pmasks`` and ``pnbr`` are ``masks`` and
+    ``nbr`` relabelled by :func:`_incidence`.  Iterative, so no state
+    outlives the call."""
     best_m = len(best_sel)
     # The masks by descending size, for _reaches' early exit.
     sized = sorted(((m.bit_count(), m) for m in masks), reverse=True)
@@ -251,16 +303,18 @@ def _search(
         by_count[len(cs)] = by_count.get(len(cs), 0) | 1 << p
     fewest_first = [by_count[n] for n in sorted(by_count)]
     nodes = 0
-    covered = 0
+    covered = pcovered = 0
     chosen: list[int] = []
-    # One entry per expanded node on the current path: its coverage and its
-    # untried branches.  chosen[d] is the branch taken at depth d.
-    stack: list[tuple[int, Iterator[int]]] = []
+    # One entry per expanded node on the current path: its coverage, also
+    # relabelled, and its untried branches.  chosen[d] is the branch taken
+    # at depth d.
+    stack: list[tuple[int, int, Iterator[int]]] = []
     while True:
         nodes += 1
         if nodes > node_limit:
+            lower = max(_packing(nbr, full, len(nbr)), _packing(pnbr, full, len(nbr)))
             raise BudgetExceededError(
-                f"exceeded {node_limit} search nodes (incumbent {best_m} unproven)"
+                f"exceeded {node_limit} search nodes (incumbent {best_m}, lower bound {lower})"
             )
         if covered == full:
             if len(chosen) < best_m:
@@ -269,10 +323,10 @@ def _search(
         else:
             need = best_m - len(chosen)  # a bound this large prunes
             rem_mask = full & ~covered
-            packed, rest = 0, rem_mask
-            while rest and packed < need:
-                rest &= ~nbr[(rest & -rest).bit_length() - 1]
-                packed += 1
+            # The lowest-index packing, then the fewest-neighbours-first one.
+            packed = _packing(nbr, rem_mask, need)
+            if packed < need:
+                packed = _packing(pnbr, full & ~pcovered, need)
             # The packing took a point, so here need >= 2, and the counting
             # bound ceil(uncovered / max coverage) < need iff some mask
             # covers at least ceil(uncovered / (need - 1)) of them.
@@ -282,15 +336,16 @@ def _search(
                 options = sorted(
                     coverers[branch_pt], key=lambda i: (-(masks[i] & rem_mask).bit_count(), i)
                 )
-                stack.append((covered, iter(options)))
+                stack.append((covered, pcovered, iter(options)))
         # Move to the next untried branch of the deepest node that has one.
         while stack:
-            parent, branches = stack[-1]
+            parent, pparent, branches = stack[-1]
             del chosen[len(stack) - 1 :]
             i = next(branches, None)
             if i is not None:
                 chosen.append(i)
                 covered = parent | masks[i]
+                pcovered = pparent | pmasks[i]
                 break
             stack.pop()
         else:

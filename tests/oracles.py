@@ -7,7 +7,9 @@ dual-route check.  The exceptions are the references at the end: the
 unpruned candidate generator that the oracle's pruning is checked against,
 the per-candidate generator and the counting-bound search that the oracle's
 block-wise coverage and packing bound replaced, the packing search with the
-full counting bound whose tree the threshold test must reproduce,
+full counting bound whose tree the threshold test reproduced, the same
+search with a second, fewest-neighbours-first packing whose tree the
+relabelled masks must reproduce,
 the trial-by-trial k-means loop that the package's lockstep k-means replaced,
 the monotone chain over every point and the spiral loop that the spiral's
 prefiltered, carried hull replaced, the candidate pruning that
@@ -497,6 +499,130 @@ def _packing_search(
             while rest and packed < need:
                 rest &= ~nbr[(rest & -rest).bit_length() - 1]
                 packed += 1
+            if packed < need:
+                max_cov = max([(m & rem_mask).bit_count() for m in masks])
+                if math.ceil(rem_mask.bit_count() / max_cov) < need:
+                    branch_pt = min(_bits(rem_mask), key=n_coverers.__getitem__)
+                    options = sorted(
+                        coverers[branch_pt], key=lambda i: (-(masks[i] & rem_mask).bit_count(), i)
+                    )
+                    stack.append((covered, iter(options)))
+        while stack:
+            parent, branches = stack[-1]
+            del chosen[len(stack) - 1 :]
+            i = next(branches, None)
+            if i is not None:
+                chosen.append(i)
+                covered = parent | masks[i]
+                break
+            stack.pop()
+        else:
+            return best_sel, nodes
+
+
+def min_cover_two_packing_serial(inst: Instance, node_limit: int) -> tuple[Solution, int]:
+    """:func:`min_cover_packing_serial` with a second packing where the
+    first does not prune, and the number of nodes it expanded.
+
+    The second packing walks the uncovered points sorted by their number of
+    neighbours (points sharing a candidate with them, themselves among them),
+    ties by index, at every node, taking each point none of whose neighbours
+    was taken; it keeps no relabelled masks.  ``min_cover`` must return this
+    cover at ``node_limit`` equal to that count and raise one node below it.
+    """
+    cands = candidates_serial(inst)
+    masks = [c.coverage for c in cands]
+    k_total = inst.k
+    full = (1 << k_total) - 1
+    coverers, nbr, _, _ = incidence_serial(masks, k_total)
+
+    best_sel: list[int] = []
+    covered = 0
+    while covered != full:
+        pick = max(range(len(masks)), key=lambda i: ((masks[i] & ~covered).bit_count(), -i))
+        best_sel.append(pick)
+        covered |= masks[pick]
+
+    best_sel, nodes = _two_packing_search(masks, coverers, nbr, full, best_sel, node_limit)
+
+    newly_all: list[list[int]] = []
+    assigned = 0
+    for i in best_sel:
+        newly_all.append(list(_bits(masks[i] & ~assigned)))
+        assigned |= masks[i]
+    sol = Solution(
+        algorithm="oracle",
+        seed=0,
+        centers=[cands[i].center for i in best_sel],
+        newly_covered=newly_all,
+        runtime=0.0,
+    )
+    return sol, nodes
+
+
+def incidence_serial(
+    masks: list[int], k_total: int
+) -> tuple[list[list[int]], list[int], list[int], list[int]]:
+    """The search's tables bit by bit: each point's coverers, ascending; each
+    point's neighbours as a mask; and the masks and neighbour masks with bit
+    q standing for the point of q-th fewest neighbours, ties by index.  The
+    reference for :func:`diskcover.exact._incidence`."""
+    coverers: list[list[int]] = [[] for _ in range(k_total)]
+    for i, m in enumerate(masks):
+        for p in _bits(m):
+            coverers[p].append(i)
+    nbr = [0] * k_total
+    for p, cs in enumerate(coverers):
+        for i in cs:
+            nbr[p] |= masks[i]
+    order = sorted(range(k_total), key=lambda p: (nbr[p].bit_count(), p))
+
+    def relabel(m: int) -> int:
+        return sum(1 << q for q, p in enumerate(order) if m >> p & 1)
+
+    return coverers, nbr, [relabel(m) for m in masks], [relabel(nbr[p]) for p in order]
+
+
+def _two_packing_search(
+    masks: list[int],
+    coverers: list[list[int]],
+    nbr: list[int],
+    full: int,
+    best_sel: list[int],
+    node_limit: int,
+) -> tuple[list[int], int]:
+    best_m = len(best_sel)
+    n_coverers = [len(cs) for cs in coverers]
+    degree = [m.bit_count() for m in nbr]
+    nodes = 0
+    covered = 0
+    chosen: list[int] = []
+    stack: list[tuple[int, Iterator[int]]] = []
+    while True:
+        nodes += 1
+        if nodes > node_limit:
+            raise BudgetExceededError(
+                f"exceeded {node_limit} search nodes (incumbent {best_m} unproven)"
+            )
+        if covered == full:
+            if len(chosen) < best_m:
+                best_sel = chosen.copy()
+                best_m = len(chosen)
+        else:
+            need = best_m - len(chosen)
+            rem_mask = full & ~covered
+            packed, rest = 0, rem_mask
+            while rest and packed < need:
+                rest &= ~nbr[(rest & -rest).bit_length() - 1]
+                packed += 1
+            if packed < need:
+                packed, blocked = 0, 0
+                for p in sorted(_bits(rem_mask), key=lambda p: (degree[p], p)):
+                    if packed == need:
+                        break
+                    if not blocked >> p & 1:
+                        blocked |= nbr[p]
+                        packed += 1
             if packed < need:
                 max_cov = max([(m & rem_mask).bit_count() for m in masks])
                 if math.ceil(rem_mask.bit_count() / max_cov) < need:

@@ -51,6 +51,17 @@ class TestStrip:
         assert sol.m == 1
         assert sol.centers[0] == (0.0, 5.0)
 
+    @pytest.mark.xfail(
+        strict=True,
+        raises=OverflowError,
+        reason="solve_strip's strip index int(math.floor((p[1] - min_y) / h + 0.5)) "
+        "converts an infinite quotient when the y-span overflows",
+    )
+    def test_points_near_the_float_limit(self):
+        inst = Instance([(1e308, 1e308), (-1e308, -1e308), (1e308, -1e308)], 1.0)
+        sol = solve_strip(inst)
+        assert not solution_violations(inst, sol)
+
     def test_pair_in_one_strip_shares_one_disk(self):
         inst = Instance(points=[(0.0, 0.0), (1.5, 0.0)], radius=1.0)
         sol = solve_strip(inst)

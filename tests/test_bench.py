@@ -105,12 +105,12 @@ class TestRunCampaign:
     def test_oracle_budget_becomes_marked_cell(self):
         report = run_campaign(
             small_campaign(
-                k=25, algorithms=("oracle",), ratios=[5.0], trials=TrialConfig(node_limit=1)
+                k=40, algorithms=("oracle",), ratios=[10.0], trials=TrialConfig(node_limit=1)
             )
         )
         assert len(report.rows) == 3
         assert all(r.m is None for r in report.rows)
-        assert report.mean_m("oracle", 5.0) is None
+        assert report.mean_m("oracle", 10.0) is None
         table = aggregate_csv(report)
         assert ",oracle,mean_M,-" in table
 

@@ -178,9 +178,18 @@ class TestSolve:
         assert main(["solve", "--algo", "spiral", "--input", str(bad)]) == EXIT_IO
 
     def test_oracle_budget_exit_code(self, tmp_path):
-        inst_path = gen(tmp_path, k=25, side=4.0, radius=0.8, seed=3)
+        # The proof takes 2814 nodes.
+        inst_path = gen(tmp_path, k=60, side=1.0, radius=0.1, seed=3)
         assert main(["solve", "--algo", "oracle", "--input", str(inst_path),
                      "--node-limit", "1"]) == EXIT_BUDGET
+
+    def test_oracle_budget_reports_the_gap(self, tmp_path, capsys):
+        # The greedy incumbent against the larger packing of every point.
+        inst_path = gen(tmp_path, k=60, side=1.0, radius=0.1, seed=3)
+        assert main(["solve", "--algo", "oracle", "--input", str(inst_path),
+                     "--node-limit", "1"]) == EXIT_BUDGET
+        err = capsys.readouterr().err
+        assert err == "error: exceeded 1 search nodes (incumbent 22, lower bound 16)\n"
 
     @pytest.mark.parametrize("algo", ALGORITHMS)
     def test_written_cover_reverifies_far_from_origin(self, tmp_path, algo):

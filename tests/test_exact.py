@@ -17,16 +17,19 @@ from diskcover import (
 )
 from diskcover.geometry import Disk, covers
 from diskcover.bench import generate_topology
+from diskcover.exact import _incidence
 
 from conftest import grid_point_lists, instances
 from oracles import (
     candidates_serial,
     candidates_unpruned,
     grid_cover_masks,
+    incidence_serial,
     min_cover_packing_serial,
     min_cover_serial,
     min_cover_size_by_combinations,
     min_cover_size_by_enumeration,
+    min_cover_two_packing_serial,
 )
 from test_acceptance import _oracle_corpus
 
@@ -117,6 +120,13 @@ class TestBlockwiseCandidates:
         assert CandidateDisk((0.0, 0.0), 0b0111) in cands
         assert cands == candidates_serial(inst)
 
+    def test_pair_centers_round_as_the_scalar_formula(self):
+        # Half this pair's distance squares to neighbouring floats under
+        # CPython's ** 2 (libm pow) and numpy's v * v, and the pair-circle
+        # centers move with it.
+        inst = Instance(points=[(0.0, 0.0), (1.59375, 0.234375)], radius=1.0)
+        assert generate_candidates(inst) == candidates_serial(inst)
+
     @given(instances(max_size=20))
     @settings(max_examples=40)
     def test_random_instances(self, inst):
@@ -150,16 +160,59 @@ def test_search_matches_counting_bound_search():
 
 def test_search_tree_is_the_full_count_search_tree():
     # The threshold test decides each node as the full counting bound did,
-    # so min_cover expands exactly the reference's nodes: it proves the
+    # and the relabelled masks pack as the per-node sort by neighbour count
+    # does, so min_cover expands exactly the reference's nodes: it proves the
     # same cover in that many and runs out one node short of it.
     for inst in _search_corpus():
-        ref, nodes = min_cover_packing_serial(inst, node_limit=200_000)
+        ref, nodes = min_cover_two_packing_serial(inst, node_limit=200_000)
         sol = min_cover(inst, node_limit=nodes)
         assert sol.centers == ref.centers
         assert sol.newly_covered == ref.newly_covered
         if nodes > 1:
             with pytest.raises(BudgetExceededError, match=f"exceeded {nodes - 1} search nodes"):
                 min_cover(inst, node_limit=nodes - 1)
+
+
+def test_search_matches_one_packing_search():
+    # The second packing only prunes more, so min_cover must return the
+    # lowest-index packing search's cover within that search's node count.
+    for inst in _search_corpus():
+        ref, nodes = min_cover_packing_serial(inst, node_limit=200_000)
+        sol = min_cover(inst, node_limit=nodes)
+        assert sol.centers == ref.centers
+        assert sol.newly_covered == ref.newly_covered
+
+
+def test_proofs_beyond_k80():
+    # K=120 at D/r=6: none of the six proved within 100 000 nodes with the
+    # lowest-index packing alone; with both packings all six do.
+    for t in range(1, 7):
+        inst = generate_topology(120, 1.0, t, radius=1.0 / 6.0)
+        sol = min_cover(inst, node_limit=100_000)
+        assert not solution_violations(inst, sol)
+        assert sol.m <= solve_spiral(inst).m
+
+
+def _check_incidence(inst):
+    masks = [c.coverage for c in generate_candidates(inst)]
+    assert _incidence(masks, inst.k) == incidence_serial(masks, inst.k)
+
+
+def test_incidence_matches_per_bit_tables_on_the_search_corpus():
+    for inst in _search_corpus():
+        _check_incidence(inst)
+
+
+@given(instances(max_size=20))
+@settings(max_examples=40)
+def test_incidence_matches_per_bit_tables(inst):
+    _check_incidence(inst)
+
+
+@given(grid_point_lists(max_size=20), st.sampled_from([0.25, 0.5, 1.0, 2.0]))
+@settings(max_examples=40)
+def test_incidence_matches_per_bit_tables_on_grids(pts, r):
+    _check_incidence(Instance(points=pts, radius=r))
 
 
 class TestMinCover:
@@ -195,14 +248,31 @@ class TestMinCover:
         assert not solution_violations(inst, spiral)
         assert min_cover(inst).m <= spiral.m
 
+    @pytest.mark.xfail(
+        strict=True,
+        raises=OverflowError,
+        reason="generate_candidates' h2 = r * r - (v / 2.0) ** 2 overflows in "
+        "Python's float power for a pair 1e285 apart at r = 1e300",
+    )
+    def test_pair_near_the_float_limit(self):
+        inst = Instance([(1e300, 0.0), (1e300 + 1e285, 0.0)], 1e300)
+        sol = min_cover(inst)
+        assert not solution_violations(inst, sol)
+
     @pytest.mark.parametrize("limit", [0, -3])
     def test_node_limit_below_one_rejected(self, limit):
         with pytest.raises(ValueError):
             min_cover(Instance(points=[(0.0, 0.0)], radius=1.0), node_limit=limit)
 
     def test_budget_exhaustion_raises(self):
-        inst = generate_topology(25, 4.0, seed=3, radius=0.8)
-        with pytest.raises(BudgetExceededError):
+        # A proof of 2814 nodes.  The message gives the gap at the root: the
+        # greedy incumbent's 22 disks against the larger packing's 16 (the
+        # optimum is 18).
+        inst = generate_topology(60, 1.0, seed=3, radius=0.1)
+        with pytest.raises(
+            BudgetExceededError,
+            match=r"^exceeded 1 search nodes \(incumbent 22, lower bound 16\)$",
+        ):
             min_cover(inst, node_limit=1)
 
     def test_enumeration_oracles_agree_on_tiny_instances(self):

@@ -186,6 +186,18 @@ class TestSolveSpiralExamples:
         assert sol.m == 2
         assert sorted(len(g) for g in sol.newly_covered) == [1, 1]
 
+    @pytest.mark.xfail(
+        strict=True,
+        raises=ContractError,
+        reason="spiral._hull_input's _EXTREME_DIRECTIONS @ sub.T and chord normals "
+        "overflow near the float limit, and local_cover then raises "
+        "'sec set contains repeated indices'",
+    )
+    def test_points_near_the_float_limit(self):
+        inst = Instance([(1e308, 1e308), (-1e308, -1e308), (1e308, -1e308)], 1.0)
+        sol = solve_spiral(inst)
+        assert not solution_violations(inst, sol)
+
     def test_reference_density_needs_about_eleven(self):
         # 80 points over ten square kilometres with half-kilometre disks.
         ms = []
