@@ -5,15 +5,15 @@ triangle-containment test, enclosing disks from pair/triple enumeration, and
 minimum covers from exhaustive subset search, so each comparison is a genuine
 dual-route check.  The exceptions are the references at the end: the
 unpruned candidate generator that the oracle's pruning is checked against,
-the per-candidate generator and the counting-bound search that the oracle's
-block-wise coverage and packing bound replaced, the packing search with the
-full counting bound whose tree the threshold test reproduced, the same
-search with a second, fewest-neighbours-first packing whose tree the
-relabelled masks must reproduce,
-the trial-by-trial k-means loop that the package's lockstep k-means replaced,
-the monotone chain over every point and the spiral loop that the spiral's
-prefiltered, carried hull replaced, the candidate pruning that
-``local_cover``'s flat loops replaced, and the recursive enclosing-disk
+the per-candidate generator that the oracle's block-wise coverage replaced,
+the bit-by-bit search tables, one search reference with the full counting
+bound whose packing sets (none; lowest index first; that, then fewest
+neighbours first) give the trees that the oracle's packing bounds, threshold
+test and relabelled masks must undercut or, with both packings, reproduce
+node for node, the trial-by-trial k-means loop that the package's lockstep
+k-means replaced, the monotone chain over every point and the spiral loop
+that the spiral's prefiltered, carried hull replaced, the candidate pruning
+that ``local_cover``'s flat loops replaced, and the recursive enclosing-disk
 construction that the flat kernel replaced.  They run on the same primitives
 or the same arithmetic, so each pair must agree bit for bit.
 """
@@ -101,8 +101,6 @@ def extreme_indices_bulk(points: Sequence[Point]) -> set[int]:
     for continuous random draws); cross-checked against the scalar oracle in
     the acceptance suite.
     """
-    import numpy as np
-
     xy = np.asarray(points, dtype=float)
     n = len(xy)
     if n <= 2:
@@ -180,6 +178,13 @@ def best_single_disk_extension(
     return best
 
 
+def _bits(mask: int) -> Iterable[int]:
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 def min_cover_size_by_enumeration(masks: Sequence[int], n_points: int) -> int:
     """Smallest number of masks whose union covers all points.
 
@@ -190,11 +195,8 @@ def min_cover_size_by_enumeration(masks: Sequence[int], n_points: int) -> int:
     full = (1 << n_points) - 1
     coverers: list[list[int]] = [[] for _ in range(n_points)]
     for i, m in enumerate(masks):
-        b = m
-        while b:
-            low = b & -b
-            coverers[low.bit_length() - 1].append(i)
-            b ^= low
+        for p in _bits(m):
+            coverers[p].append(i)
     if any(not c for c in coverers):
         raise ValueError("some point has no covering mask")
 
@@ -231,8 +233,6 @@ def min_cover_size_by_combinations(masks: Sequence[int], n_points: int) -> int:
 
 def grid_cover_masks(points: Sequence[Point], r: float, divisions: int = 50) -> list[int]:
     """Coverage masks of disks centered on an r/divisions grid over the bounding box."""
-    import numpy as np
-
     step = r / divisions
     xy = np.asarray(points, dtype=float)
     min_x, min_y = xy.min(axis=0)
@@ -324,242 +324,6 @@ def candidates_serial(inst: Instance) -> list[CandidateDisk]:
     return [cands[i] for i in kept]
 
 
-def min_cover_serial(inst: Instance, node_limit: int) -> tuple[Solution, int]:
-    """The oracle's search with the counting bound alone, and the number of
-    nodes it expanded.
-
-    Branch and bound over :func:`candidates_serial`, seeded with the greedy
-    incumbent: branch on an uncovered point with the fewest covering
-    candidates, bound with ceil(uncovered / best-remaining-coverage).  The
-    reference that :func:`diskcover.exact.min_cover`, which adds a packing
-    bound, must match in cover and undercut in nodes.  Raises
-    :class:`BudgetExceededError` past ``node_limit`` nodes.
-    """
-    cands = candidates_serial(inst)
-    masks = [c.coverage for c in cands]
-    k_total = inst.k
-    full = (1 << k_total) - 1
-
-    coverers: list[list[int]] = [[] for _ in range(k_total)]
-    for i, m in enumerate(masks):
-        b = m
-        while b:
-            low = b & -b
-            coverers[low.bit_length() - 1].append(i)
-            b ^= low
-
-    best_sel: list[int] = []
-    covered = 0
-    while covered != full:
-        pick = max(range(len(masks)), key=lambda i: ((masks[i] & ~covered).bit_count(), -i))
-        best_sel.append(pick)
-        covered |= masks[pick]
-    best_m = len(best_sel)
-
-    nodes = 0
-
-    def dfs(covered: int, chosen: list[int]) -> None:
-        nonlocal nodes, best_sel, best_m
-        nodes += 1
-        if nodes > node_limit:
-            raise BudgetExceededError(f"exceeded {node_limit} search nodes")
-        if covered == full:
-            if len(chosen) < best_m:
-                best_sel = chosen.copy()
-                best_m = len(chosen)
-            return
-        rem_mask = full & ~covered
-        rem = rem_mask.bit_count()
-        max_cov = max((m & rem_mask).bit_count() for m in masks)
-        if len(chosen) + math.ceil(rem / max_cov) >= best_m:
-            return
-        low = rem_mask & -rem_mask
-        branch_pt = low.bit_length() - 1
-        scan = rem_mask
-        while scan:
-            b = scan & -scan
-            pt = b.bit_length() - 1
-            if len(coverers[pt]) < len(coverers[branch_pt]):
-                branch_pt = pt
-            scan ^= b
-        options = sorted(
-            coverers[branch_pt], key=lambda i: (-(masks[i] & rem_mask).bit_count(), i)
-        )
-        for i in options:
-            chosen.append(i)
-            dfs(covered | masks[i], chosen)
-            chosen.pop()
-
-    dfs(0, [])
-
-    newly_all: list[list[int]] = [[] for _ in best_sel]
-    assigned = 0
-    for pos, i in enumerate(best_sel):
-        fresh = masks[i] & ~assigned
-        b = fresh
-        while b:
-            low = b & -b
-            newly_all[pos].append(low.bit_length() - 1)
-            b ^= low
-        assigned |= masks[i]
-    sol = Solution(
-        algorithm="oracle",
-        seed=0,
-        centers=[cands[i].center for i in best_sel],
-        newly_covered=newly_all,
-        runtime=0.0,
-    )
-    return sol, nodes
-
-
-def min_cover_packing_serial(inst: Instance, node_limit: int) -> tuple[Solution, int]:
-    """The oracle's search with the packing bound and the full counting bound
-    ``max([(m & rem_mask).bit_count() for m in masks])``, and the number of
-    nodes it expanded.
-
-    Built as :func:`diskcover.exact.min_cover` builds its search, over
-    :func:`candidates_serial`; :func:`_packing_search` is the search loop
-    verbatim but for the node count it returns.  ``min_cover`` must return
-    this cover at ``node_limit`` equal to that count and raise one node
-    below it.
-    """
-    cands = candidates_serial(inst)
-    masks = [c.coverage for c in cands]
-    k_total = inst.k
-    full = (1 << k_total) - 1
-
-    coverers: list[list[int]] = [[] for _ in range(k_total)]
-    for i, m in enumerate(masks):
-        for p in _bits(m):
-            coverers[p].append(i)
-    nbr = [0] * k_total
-    for p, cs in enumerate(coverers):
-        for i in cs:
-            nbr[p] |= masks[i]
-
-    best_sel: list[int] = []
-    covered = 0
-    while covered != full:
-        pick = max(range(len(masks)), key=lambda i: ((masks[i] & ~covered).bit_count(), -i))
-        best_sel.append(pick)
-        covered |= masks[pick]
-
-    best_sel, nodes = _packing_search(masks, coverers, nbr, full, best_sel, node_limit)
-
-    newly_all: list[list[int]] = []
-    assigned = 0
-    for i in best_sel:
-        newly_all.append(list(_bits(masks[i] & ~assigned)))
-        assigned |= masks[i]
-    sol = Solution(
-        algorithm="oracle",
-        seed=0,
-        centers=[cands[i].center for i in best_sel],
-        newly_covered=newly_all,
-        runtime=0.0,
-    )
-    return sol, nodes
-
-
-def _bits(mask: int) -> Iterable[int]:
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
-def _packing_search(
-    masks: list[int],
-    coverers: list[list[int]],
-    nbr: list[int],
-    full: int,
-    best_sel: list[int],
-    node_limit: int,
-) -> tuple[list[int], int]:
-    best_m = len(best_sel)
-    n_coverers = [len(cs) for cs in coverers]
-    nodes = 0
-    covered = 0
-    chosen: list[int] = []
-    stack: list[tuple[int, Iterator[int]]] = []
-    while True:
-        nodes += 1
-        if nodes > node_limit:
-            raise BudgetExceededError(
-                f"exceeded {node_limit} search nodes (incumbent {best_m} unproven)"
-            )
-        if covered == full:
-            if len(chosen) < best_m:
-                best_sel = chosen.copy()
-                best_m = len(chosen)
-        else:
-            need = best_m - len(chosen)  # a bound this large prunes
-            rem_mask = full & ~covered
-            packed, rest = 0, rem_mask
-            while rest and packed < need:
-                rest &= ~nbr[(rest & -rest).bit_length() - 1]
-                packed += 1
-            if packed < need:
-                max_cov = max([(m & rem_mask).bit_count() for m in masks])
-                if math.ceil(rem_mask.bit_count() / max_cov) < need:
-                    branch_pt = min(_bits(rem_mask), key=n_coverers.__getitem__)
-                    options = sorted(
-                        coverers[branch_pt], key=lambda i: (-(masks[i] & rem_mask).bit_count(), i)
-                    )
-                    stack.append((covered, iter(options)))
-        while stack:
-            parent, branches = stack[-1]
-            del chosen[len(stack) - 1 :]
-            i = next(branches, None)
-            if i is not None:
-                chosen.append(i)
-                covered = parent | masks[i]
-                break
-            stack.pop()
-        else:
-            return best_sel, nodes
-
-
-def min_cover_two_packing_serial(inst: Instance, node_limit: int) -> tuple[Solution, int]:
-    """:func:`min_cover_packing_serial` with a second packing where the
-    first does not prune, and the number of nodes it expanded.
-
-    The second packing walks the uncovered points sorted by their number of
-    neighbours (points sharing a candidate with them, themselves among them),
-    ties by index, at every node, taking each point none of whose neighbours
-    was taken; it keeps no relabelled masks.  ``min_cover`` must return this
-    cover at ``node_limit`` equal to that count and raise one node below it.
-    """
-    cands = candidates_serial(inst)
-    masks = [c.coverage for c in cands]
-    k_total = inst.k
-    full = (1 << k_total) - 1
-    coverers, nbr, _, _ = incidence_serial(masks, k_total)
-
-    best_sel: list[int] = []
-    covered = 0
-    while covered != full:
-        pick = max(range(len(masks)), key=lambda i: ((masks[i] & ~covered).bit_count(), -i))
-        best_sel.append(pick)
-        covered |= masks[pick]
-
-    best_sel, nodes = _two_packing_search(masks, coverers, nbr, full, best_sel, node_limit)
-
-    newly_all: list[list[int]] = []
-    assigned = 0
-    for i in best_sel:
-        newly_all.append(list(_bits(masks[i] & ~assigned)))
-        assigned |= masks[i]
-    sol = Solution(
-        algorithm="oracle",
-        seed=0,
-        centers=[cands[i].center for i in best_sel],
-        newly_covered=newly_all,
-        runtime=0.0,
-    )
-    return sol, nodes
-
-
 def incidence_serial(
     masks: list[int], k_total: int
 ) -> tuple[list[list[int]], list[int], list[int], list[int]]:
@@ -583,17 +347,55 @@ def incidence_serial(
     return coverers, nbr, [relabel(m) for m in masks], [relabel(nbr[p]) for p in order]
 
 
-def _two_packing_search(
-    masks: list[int],
-    coverers: list[list[int]],
-    nbr: list[int],
-    full: int,
-    best_sel: list[int],
-    node_limit: int,
-) -> tuple[list[int], int]:
-    best_m = len(best_sel)
+def search_serial(
+    inst: Instance, node_limit: int, packings: Sequence[str] = ("index", "degree")
+) -> tuple[Solution, int]:
+    """The oracle's branch and bound over :func:`candidates_serial`, seeded
+    with the greedy incumbent, and the number of nodes it expanded.
+
+    At each node the listed packings are tried in turn until one prunes:
+    each takes greedily the uncovered points none of whose neighbours
+    (points sharing a candidate with them) was taken, ``"index"`` walking
+    them by index and ``"degree"`` by (number of neighbours, index), and
+    prunes when it takes as many points as would tie the incumbent.  Where
+    none prunes, the full counting bound ``ceil(uncovered / max coverage)``
+    is tested, and the search branches on the lowest-index uncovered point
+    with the fewest covering candidates, largest new coverage first.
+    ``packings=()`` is the counting-bound search that the packings replaced;
+    ``min_cover`` must return this cover at ``node_limit`` equal to the node
+    count for every packing set, and raise one node below it with both.
+    Raises :class:`BudgetExceededError` past ``node_limit`` nodes.
+    """
+    cands = candidates_serial(inst)
+    masks = [c.coverage for c in cands]
+    full = (1 << inst.k) - 1
+    coverers, nbr, _, _ = incidence_serial(masks, inst.k)
     n_coverers = [len(cs) for cs in coverers]
     degree = [m.bit_count() for m in nbr]
+    orders = {
+        "index": _bits,
+        "degree": lambda rem: sorted(_bits(rem), key=lambda p: (degree[p], p)),
+    }
+    walks = [orders[name] for name in packings]
+
+    def packs(points: Iterable[int], need: int) -> bool:
+        packed, blocked = 0, 0
+        for p in points:
+            if packed >= need:
+                break
+            if not blocked >> p & 1:
+                blocked |= nbr[p]
+                packed += 1
+        return packed >= need
+
+    best_sel: list[int] = []
+    covered = 0
+    while covered != full:
+        pick = max(range(len(masks)), key=lambda i: ((masks[i] & ~covered).bit_count(), -i))
+        best_sel.append(pick)
+        covered |= masks[pick]
+    best_m = len(best_sel)
+
     nodes = 0
     covered = 0
     chosen: list[int] = []
@@ -609,21 +411,9 @@ def _two_packing_search(
                 best_sel = chosen.copy()
                 best_m = len(chosen)
         else:
-            need = best_m - len(chosen)
+            need = best_m - len(chosen)  # a bound this large prunes
             rem_mask = full & ~covered
-            packed, rest = 0, rem_mask
-            while rest and packed < need:
-                rest &= ~nbr[(rest & -rest).bit_length() - 1]
-                packed += 1
-            if packed < need:
-                packed, blocked = 0, 0
-                for p in sorted(_bits(rem_mask), key=lambda p: (degree[p], p)):
-                    if packed == need:
-                        break
-                    if not blocked >> p & 1:
-                        blocked |= nbr[p]
-                        packed += 1
-            if packed < need:
+            if not any(packs(walk(rem_mask), need) for walk in walks):
                 max_cov = max([(m & rem_mask).bit_count() for m in masks])
                 if math.ceil(rem_mask.bit_count() / max_cov) < need:
                     branch_pt = min(_bits(rem_mask), key=n_coverers.__getitem__)
@@ -641,7 +431,21 @@ def _two_packing_search(
                 break
             stack.pop()
         else:
-            return best_sel, nodes
+            break
+
+    newly_all: list[list[int]] = []
+    assigned = 0
+    for i in best_sel:
+        newly_all.append(list(_bits(masks[i] & ~assigned)))
+        assigned |= masks[i]
+    sol = Solution(
+        algorithm="oracle",
+        seed=0,
+        centers=[cands[i].center for i in best_sel],
+        newly_covered=newly_all,
+        runtime=0.0,
+    )
+    return sol, nodes
 
 
 # --- Serial k-means reference -------------------------------------------

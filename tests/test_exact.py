@@ -25,11 +25,9 @@ from oracles import (
     candidates_unpruned,
     grid_cover_masks,
     incidence_serial,
-    min_cover_packing_serial,
-    min_cover_serial,
     min_cover_size_by_combinations,
     min_cover_size_by_enumeration,
-    min_cover_two_packing_serial,
+    search_serial,
 )
 from test_acceptance import _oracle_corpus
 
@@ -148,39 +146,24 @@ def _search_corpus():
     return corpus
 
 
-def test_search_matches_counting_bound_search():
-    # The packing bound only prunes more, so min_cover must return the
-    # counting-bound search's cover within that search's node count.
+@pytest.mark.parametrize(
+    "packings", [(), ("index",), ("index", "degree")], ids=["count", "index", "index-degree"]
+)
+def test_search_matches_reference_search(packings):
+    # Each packing only prunes more, so min_cover must return the reference's
+    # cover within the reference's node count.  With both packings the
+    # threshold test decides each node as the full counting bound did, and
+    # the relabelled masks pack as the per-node sort by neighbour count does,
+    # so min_cover expands exactly the reference's nodes: it proves the same
+    # cover in that many and runs out one node short of it.
     for inst in _search_corpus():
-        ref, nodes = min_cover_serial(inst, node_limit=200_000)
+        ref, nodes = search_serial(inst, node_limit=200_000, packings=packings)
         sol = min_cover(inst, node_limit=nodes)
         assert sol.centers == ref.centers
         assert sol.newly_covered == ref.newly_covered
-
-
-def test_search_tree_is_the_full_count_search_tree():
-    # The threshold test decides each node as the full counting bound did,
-    # and the relabelled masks pack as the per-node sort by neighbour count
-    # does, so min_cover expands exactly the reference's nodes: it proves the
-    # same cover in that many and runs out one node short of it.
-    for inst in _search_corpus():
-        ref, nodes = min_cover_two_packing_serial(inst, node_limit=200_000)
-        sol = min_cover(inst, node_limit=nodes)
-        assert sol.centers == ref.centers
-        assert sol.newly_covered == ref.newly_covered
-        if nodes > 1:
+        if packings == ("index", "degree") and nodes > 1:
             with pytest.raises(BudgetExceededError, match=f"exceeded {nodes - 1} search nodes"):
                 min_cover(inst, node_limit=nodes - 1)
-
-
-def test_search_matches_one_packing_search():
-    # The second packing only prunes more, so min_cover must return the
-    # lowest-index packing search's cover within that search's node count.
-    for inst in _search_corpus():
-        ref, nodes = min_cover_packing_serial(inst, node_limit=200_000)
-        sol = min_cover(inst, node_limit=nodes)
-        assert sol.centers == ref.centers
-        assert sol.newly_covered == ref.newly_covered
 
 
 def test_proofs_beyond_k80():
