@@ -55,7 +55,10 @@ def solve_strip(inst: Instance, seed: int = 0) -> Solution:
     min_y = min(p[1] for p in pts)
     strips: dict[int, list[int]] = {}
     for k, p in enumerate(pts):
-        s = int(math.floor((p[1] - min_y) / h + 0.5))
+        # Halved, so the span cannot overflow.  Halving is exact above the
+        # subnormals, so the quotient is the unhalved one wherever that is
+        # finite.
+        s = int(math.floor((p[1] / 2.0 - min_y / 2.0) / (h / 2.0) + 0.5))
         strips.setdefault(s, []).append(k)
 
     centers: list[Point] = []
@@ -162,22 +165,6 @@ def _fill_sqdist(out: np.ndarray, tmp: np.ndarray, pts: np.ndarray, c: np.ndarra
     np.add(out, tmp, out=out)
 
 
-def _rewind(rng: np.random.Generator, draws: int) -> None:
-    """Step ``rng`` back over its last ``draws`` doubles.
-
-    PCG64 spends one 64-bit output per double, and advancing by
-    2**128 - draws wraps its state back by ``draws`` outputs.  Advancing
-    clears the half output that 32-bit draws (``integers`` below 2**32)
-    keep buffered; doubles never touch it, so it is put back.
-    """
-    gen = rng.bit_generator
-    state = gen.state
-    gen.advance((1 << 128) - draws)
-    back = gen.state
-    back["has_uint32"], back["uinteger"] = state["has_uint32"], state["uinteger"]
-    gen.state = back
-
-
 def _seed_lockstep(
     pts: np.ndarray, ps: np.ndarray, rngs: list[np.random.Generator]
 ) -> np.ndarray:
@@ -187,8 +174,8 @@ def _seed_lockstep(
 
     Row b draws its first center, then the p - 1 uniforms of its other
     centers in one call.  A row whose points all sit on its centers already
-    stops early, as a lone run does, and its generator is stepped back to
-    where that run leaves it.
+    stops early: its remaining centers copy the first, and its unused
+    uniforms stay drawn.
     """
     b_rows, n, pm = len(ps), pts.shape[1], int(ps.max())
     c = np.full((2, b_rows, pm), np.inf)
@@ -207,10 +194,8 @@ def _seed_lockstep(
         total = d2.sum(axis=1)
         if total.min() <= 0.0:
             for b in at[keep & (total <= 0.0)]:
-                # Every point sits on a center already: copy the first
-                # one.  A lone run drew j - 1 of the p - 1 uniforms.
+                # Every point sits on a center already: copy the first one.
                 c[:, b, j : ps[b]] = c[:, b, :1]
-                _rewind(rngs[b], int(ps[b]) - j)
             keep &= total > 0.0
         if not keep.all():
             at, d2, total = at[keep], d2[keep], total[keep]

@@ -6,19 +6,18 @@ it.  Enumerating those candidate centers therefore preserves the optimum, and
 a branch-and-bound set cover over their coverage bitmasks finds it.
 
 The centers come from the co-coverable point pairs, found in blocks by
-:func:`~diskcover.geometry.within_mask` and placed in numpy with the scalar
-formula's rounding; their coverages are then decided in blocks by one
-``within_mask`` call per block and packed into 64-bit words, on which the
-dominated ones are dropped in bulk.  The search bounds each node three
-times, each only where the one before does not prune: by a greedy packing
-of uncovered points no candidate covers two of, taken lowest index first;
-by the same packing taken fewest neighbours first; and by counting, as a
-threshold that the largest candidates are scanned against.
+:func:`~diskcover.geometry.within_mask` and placed in numpy in units of r;
+their coverages are then decided in blocks by one ``within_mask`` call per
+block and packed into 64-bit words, on which the dominated ones are dropped
+in bulk.  The search bounds each node three times, each only where the one
+before does not prune: by a greedy packing of uncovered points no candidate
+covers two of, taken lowest index first; by the same packing taken fewest
+neighbours first; and by counting, as a threshold that the largest
+candidates are scanned against.
 """
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass
 from typing import Iterator
@@ -127,10 +126,10 @@ def _pair_centers(xy: np.ndarray, r: float, pair_bound: float) -> np.ndarray:
     """Both radius-r circle centers through each pair of distinct points at
     most ``pair_bound`` apart, or the midpoint alone where the half-distance
     reaches r, as an ``(m, 2)`` array: pairs (i, j), i < j, ascending, and
-    each pair's ``+`` center before its ``-`` one.  Every float is the one
-    the scalar formula over :func:`~diskcover.geometry.dist` gives."""
-    # The pairs: within_mask decides d > pair_bound as dist does, and
-    # math.hypot gives d as dist does.
+    each pair's ``+`` center before its ``-`` one.  The offsets from the
+    midpoint are worked in units of r with ``+ - * /`` and ``sqrt`` alone,
+    so they stay finite at any scale, and a scalar run of the same formula
+    rounds to the same floats."""
     firsts, seconds = [], []
     for s in range(0, len(xy), _BLOCK):
         near = within_mask(xy, xy[s : s + _BLOCK], pair_bound)
@@ -138,16 +137,18 @@ def _pair_centers(xy: np.ndarray, r: float, pair_bound: float) -> np.ndarray:
         firsts.append(i + s)
         seconds.append(j)
     pi, pj = xy[np.concatenate(firsts)], xy[np.concatenate(seconds)]
-    d = np.array(list(map(math.hypot, *(pi - pj).T.tolist())))
-    apart = d != 0.0
-    (xi, yi), (xj, yj), d = pi[apart].T, pj[apart].T, d[apart]
-    mx, my = (xi + xj) / 2.0, (yi + yj) / 2.0
-    # Per element in Python: CPython's ** 2 is libm pow, which can differ
-    # from numpy's v * v in the last place.
-    h2 = np.array([r * r - (v / 2.0) ** 2 for v in d.tolist()])
+    ux, uy = ((pj - pi) / r).T
+    d2 = ux * ux + uy * uy
+    # A pair closer than about 1e-154 * r counts as coincident; the slack
+    # already covers its partner.
+    apart = d2 != 0.0
+    (xi, yi), (xj, yj), ux, uy = pi[apart].T, pj[apart].T, ux[apart], uy[apart]
+    d = np.sqrt(d2[apart])
+    h2 = (1.0 - d / 2.0) * (1.0 + d / 2.0)
     two = h2 > 0.0
-    h = np.sqrt(np.where(two, h2, 0.0))
-    nx, ny = -(yj - yi) / d * h, (xj - xi) / d * h
+    h = np.sqrt(np.where(two, h2, 0.0)) * r
+    mx, my = (xi + xj) / 2.0, (yi + yj) / 2.0
+    nx, ny = -uy / d * h, ux / d * h
     both = np.stack(
         [np.where(two, mx + nx, mx), np.where(two, my + ny, my), mx - nx, my - ny], axis=1
     ).reshape(-1, 2)

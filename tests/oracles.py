@@ -289,17 +289,22 @@ def candidates_unpruned(inst: Instance) -> list[CandidateDisk]:
     for i in range(k_total):
         xi, yi = pts[i]
         for j in range(i + 1, k_total):
-            d = dist(pts[i], pts[j])
-            if d == 0.0 or d > pair_bound:
+            if dist(pts[i], pts[j]) > pair_bound:
                 continue
             xj, yj = pts[j]
+            # In units of r; a pair whose distance squares to 0 coincides.
+            ux, uy = (xj - xi) / r, (yj - yi) / r
+            d2 = ux * ux + uy * uy
+            if d2 == 0.0:
+                continue
+            d = math.sqrt(d2)
             mx, my = (xi + xj) / 2.0, (yi + yj) / 2.0
-            h2 = r * r - (d / 2.0) ** 2
+            h2 = (1.0 - d / 2.0) * (1.0 + d / 2.0)
             if h2 <= 0.0:
                 centers = [(mx, my)]
             else:
-                h = math.sqrt(h2)
-                nx, ny = -(yj - yi) / d * h, (xj - xi) / d * h
+                h = math.sqrt(h2) * r
+                nx, ny = -uy / d * h, ux / d * h
                 centers = [(mx + nx, my + ny), (mx - nx, my - ny)]
             for c in centers:
                 cands.append(CandidateDisk(c, coverage_of(c)))
@@ -452,18 +457,19 @@ def search_serial(
 
 
 def _kmeanspp_init(xy: np.ndarray, p: int, rng: np.random.Generator) -> np.ndarray:
-    """Careful seeding: first center uniform, then squared-distance weighted."""
+    """Careful seeding: first center uniform, then squared-distance weighted,
+    with the p - 1 uniforms of the later centers drawn up front."""
     n = len(xy)
     cents = np.empty((p, 2), dtype=float)
     cents[0] = xy[int(rng.integers(n))]
+    u = rng.random(p - 1)
     d2 = ((xy - cents[0]) ** 2).sum(axis=1)
     for j in range(1, p):
         total = float(d2.sum())
         if total <= 0.0:
             cents[j:] = cents[0]
             break
-        u = rng.random()
-        idx = int(np.searchsorted(np.cumsum(d2 / total), u, side="right"))
+        idx = int(np.searchsorted(np.cumsum(d2 / total), u[j - 1], side="right"))
         cents[j] = xy[min(idx, n - 1)]
         d2 = np.minimum(d2, ((xy - cents[j]) ** 2).sum(axis=1))
     return cents

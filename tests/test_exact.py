@@ -119,9 +119,9 @@ class TestBlockwiseCandidates:
         assert cands == candidates_serial(inst)
 
     def test_pair_centers_round_as_the_scalar_formula(self):
-        # Half this pair's distance squares to neighbouring floats under
-        # CPython's ** 2 (libm pow) and numpy's v * v, and the pair-circle
-        # centers move with it.
+        # A pair whose half-distance squares to neighbouring floats under
+        # libm pow and v * v: numpy's and the scalar formula's + - * / and
+        # sqrt round alike, so their pair-circle centers agree bit for bit.
         inst = Instance(points=[(0.0, 0.0), (1.59375, 0.234375)], radius=1.0)
         assert generate_candidates(inst) == candidates_serial(inst)
 
@@ -217,7 +217,6 @@ class TestMinCover:
         assert not solution_violations(inst, sol)
 
     @pytest.mark.xfail(
-        strict=True,
         reason="the pair-circle centers round by about 4e-9 at 2**24, past the "
         "1e-9 * r slack, so no candidate covers the pair; the fix is a "
         "magnitude term in the coverage slack",
@@ -231,12 +230,6 @@ class TestMinCover:
         assert not solution_violations(inst, spiral)
         assert min_cover(inst).m <= spiral.m
 
-    @pytest.mark.xfail(
-        strict=True,
-        raises=OverflowError,
-        reason="generate_candidates' h2 = r * r - (v / 2.0) ** 2 overflows in "
-        "Python's float power for a pair 1e285 apart at r = 1e300",
-    )
     def test_pair_near_the_float_limit(self):
         inst = Instance([(1e300, 0.0), (1e300 + 1e285, 0.0)], 1e300)
         sol = min_cover(inst)

@@ -286,6 +286,19 @@ class TestOneCenter:
         _, brute_radius = brute_force_mec(pts)
         assert disk.radius == pytest.approx(brute_radius, rel=1e-9)
 
+    @pytest.mark.xfail(
+        reason="_mec_two_known's circumcenter terms, such as cy * b2 - by * c2, "
+        "grow as the cube of the point spacing and underflow or overflow "
+        "outside spacings of about 1e-103 to 1e102"
+    )
+    @pytest.mark.parametrize("scale", [1e-120, 1e120])
+    def test_radius_scales_with_the_points(self, scale):
+        # Unscaled, the smallest disk is the circumdisk, radius 0.96333...
+        tri = [(0.0, 0.0), (1.6, 0.0), (0.8, 1.5)]
+        want = one_center(tri).radius
+        got = one_center([(x * scale, y * scale) for x, y in tri]).radius
+        assert got / scale == pytest.approx(want, rel=1e-12)
+
     def test_deterministic(self):
         pts = uniform_points(40, seed=5)
         assert one_center(pts) == one_center(pts)

@@ -187,7 +187,6 @@ class TestSolveSpiralExamples:
         assert sorted(len(g) for g in sol.newly_covered) == [1, 1]
 
     @pytest.mark.xfail(
-        strict=True,
         raises=ContractError,
         reason="spiral._hull_input's _EXTREME_DIRECTIONS @ sub.T and chord normals "
         "overflow near the float limit, and local_cover then raises "
