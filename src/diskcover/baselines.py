@@ -56,8 +56,8 @@ def solve_strip(inst: Instance, seed: int = 0) -> Solution:
     strips: dict[int, list[int]] = {}
     for k, p in enumerate(pts):
         # Halved, so the span cannot overflow.  Halving is exact above the
-        # subnormals, so the quotient is the unhalved one wherever that is
-        # finite.
+        # subnormals, so the quotient is the unhalved one wherever the span
+        # is finite and no halved value is subnormal.
         s = int(math.floor((p[1] / 2.0 - min_y / 2.0) / (h / 2.0) + 0.5))
         strips.setdefault(s, []).append(k)
 

@@ -129,7 +129,8 @@ def _pair_centers(xy: np.ndarray, r: float, pair_bound: float) -> np.ndarray:
     each pair's ``+`` center before its ``-`` one.  The offsets from the
     midpoint are worked in units of r with ``+ - * /`` and ``sqrt`` alone,
     so they stay finite at any scale, and a scalar run of the same formula
-    rounds to the same floats."""
+    rounds to the same floats.  The midpoint sums halves, so it stays
+    finite too; a center past the float limit is clamped to it."""
     firsts, seconds = [], []
     for s in range(0, len(xy), _BLOCK):
         near = within_mask(xy, xy[s : s + _BLOCK], pair_bound)
@@ -147,11 +148,17 @@ def _pair_centers(xy: np.ndarray, r: float, pair_bound: float) -> np.ndarray:
     h2 = (1.0 - d / 2.0) * (1.0 + d / 2.0)
     two = h2 > 0.0
     h = np.sqrt(np.where(two, h2, 0.0)) * r
-    mx, my = (xi + xj) / 2.0, (yi + yj) / 2.0
+    mx, my = xi / 2.0 + xj / 2.0, yi / 2.0 + yj / 2.0
     nx, ny = -uy / d * h, ux / d * h
-    both = np.stack(
-        [np.where(two, mx + nx, mx), np.where(two, my + ny, my), mx - nx, my - ny], axis=1
-    ).reshape(-1, 2)
+    with np.errstate(over="ignore"):
+        both = np.stack(
+            [np.where(two, mx + nx, mx), np.where(two, my + ny, my), mx - nx, my - ny], axis=1
+        ).reshape(-1, 2)
+    # A center past the float limit overflows to inf.  The largest float in
+    # its place is no farther from any point along either axis, so it
+    # covers at least what the true center does.
+    big = np.finfo(float).max
+    np.clip(both, -big, big, out=both)
     return both[np.stack([np.ones_like(two), two], axis=1).ravel()]
 
 

@@ -24,6 +24,7 @@ import functools
 import itertools
 import math
 import random
+import sys
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -298,7 +299,7 @@ def candidates_unpruned(inst: Instance) -> list[CandidateDisk]:
             if d2 == 0.0:
                 continue
             d = math.sqrt(d2)
-            mx, my = (xi + xj) / 2.0, (yi + yj) / 2.0
+            mx, my = xi / 2.0 + xj / 2.0, yi / 2.0 + yj / 2.0
             h2 = (1.0 - d / 2.0) * (1.0 + d / 2.0)
             if h2 <= 0.0:
                 centers = [(mx, my)]
@@ -306,6 +307,9 @@ def candidates_unpruned(inst: Instance) -> list[CandidateDisk]:
                 h = math.sqrt(h2) * r
                 nx, ny = -uy / d * h, ux / d * h
                 centers = [(mx + nx, my + ny), (mx - nx, my - ny)]
+            # Past the float limit a center is inf; clamp it to the largest float.
+            big = sys.float_info.max
+            centers = [(min(max(x, -big), big), min(max(y, -big), big)) for x, y in centers]
             for c in centers:
                 cands.append(CandidateDisk(c, coverage_of(c)))
     return cands

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
@@ -30,6 +32,10 @@ from oracles import (
     search_serial,
 )
 from test_acceptance import _oracle_corpus
+
+# Two points 1.3r apart along the diagonal, one at the largest float.
+_BIG, _R = sys.float_info.max, 1e305
+PAST_THE_LIMIT = Instance([(_BIG, _BIG), (_BIG - 0.919 * _R, _BIG - 0.919 * _R)], _R)
 
 
 class TestGenerateCandidates:
@@ -124,6 +130,9 @@ class TestBlockwiseCandidates:
         # sqrt round alike, so their pair-circle centers agree bit for bit.
         inst = Instance(points=[(0.0, 0.0), (1.59375, 0.234375)], radius=1.0)
         assert generate_candidates(inst) == candidates_serial(inst)
+
+    def test_centers_past_the_float_limit(self):
+        assert generate_candidates(PAST_THE_LIMIT) == candidates_serial(PAST_THE_LIMIT)
 
     @given(instances(max_size=20))
     @settings(max_examples=40)
@@ -234,6 +243,22 @@ class TestMinCover:
         inst = Instance([(1e300, 0.0), (1e300 + 1e285, 0.0)], 1e300)
         sol = min_cover(inst)
         assert not solution_violations(inst, sol)
+
+    def test_triangle_shifted_to_the_float_limit(self):
+        # Near 1.7e308 a pair's coordinates overflow when summed before
+        # they are halved.
+        tri = [(0.0, 0.0), (1.6, 0.0), (0.8, 1.5)]
+        inst = Instance([(x * 1e300 + 1.7e308, y * 1e300) for x, y in tri], 1e300)
+        sol = min_cover(inst)
+        assert not solution_violations(inst, sol)
+        assert sol.m == min_cover(Instance(tri, 1.0)).m == 1
+
+    def test_pair_whose_centers_lie_past_the_float_limit(self):
+        # Both pair-circle centers lie past the largest float, and neither
+        # point covers the other; the clamped centers still cover both.
+        sol = min_cover(PAST_THE_LIMIT)
+        assert not solution_violations(PAST_THE_LIMIT, sol)
+        assert sol.m == 1
 
     @pytest.mark.parametrize("limit", [0, -3])
     def test_node_limit_below_one_rejected(self, limit):
