@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Generator, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -113,34 +113,6 @@ def solve_strip(inst: Instance, seed: int = 0) -> Solution:
 # and 98 304 2.5% to 3.0%, more than half of the 5% the benchmark allows.
 _KMEANS_BLOCK_ELEMS = 81_920
 _KMEANS_ROW_TEMPS = 8
-
-
-def _bisect_cluster_count(
-    n_distinct: int,
-) -> Generator[int, Optional[np.ndarray], Optional[np.ndarray]]:
-    """One trial's bisection over the cluster count, as a generator.
-
-    Yields each cluster count to probe and is sent back the probe's labels,
-    or None when some cluster does not fit in a radius-r disk; returns the
-    labels of the smallest feasible count found, or None.  Feasibility is
-    treated as monotone; one cluster per distinct position is always
-    feasible, hence the cap.
-    """
-    lo, hi = 1, n_distinct
-    best: Optional[tuple[int, np.ndarray]] = None
-    while lo < hi:
-        mid = (lo + hi) // 2
-        labels = yield mid
-        if labels is not None:
-            hi = mid
-            best = (mid, labels)
-        else:
-            lo = mid + 1
-    if best is None or best[0] != lo:
-        labels = yield lo
-        if labels is not None:
-            best = (lo, labels)
-    return None if best is None else best[1]
 
 
 def _sqdist(pts: np.ndarray, q: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
@@ -303,11 +275,8 @@ def _refine_lockstep(
             # Half the working rows have stopped: write them back, drop them.
             labels[at], counts[at] = lab, cnt
             keep = np.flatnonzero(active)
-            for row, old in enumerate(keep):
-                if row != old:
-                    buf[row * row_size : (row + 1) * row_size] = buf[
-                        old * row_size : (old + 1) * row_size
-                    ]
+            rows = buf[: len(at) * row_size].reshape(len(at), row_size)
+            rows[: keep.size] = rows[keep]
             at, lab, cnt, wpad = at[keep], lab[keep], cnt[keep], wpad[keep]
             wc = np.ascontiguousarray(wc[:, keep])  # wc_flat must be a view
             active = active[keep]
@@ -361,8 +330,7 @@ def _lloyd_lockstep(
     rngs: list[np.random.Generator],
     buf: np.ndarray,
     tmp_buf: np.ndarray,
-    labels: np.ndarray,
-) -> np.ndarray:
+) -> tuple[np.ndarray, np.ndarray]:
     """One bisection step: k-means probes run side by side, one per row: row
     b clusters into ``ps[b]`` groups drawing from ``rngs[b]``; ``ps`` is
     ascending.
@@ -373,15 +341,16 @@ def _lloyd_lockstep(
     padding at +inf, which no point ever picks.  Seeding and the exact
     feasibility checks take every row at once; the batch passes and the
     refinement, whose (rows, n, p) arrays live in ``buf`` and ``tmp_buf``,
-    take blocks of rows that fit them, and so do the bounding boxes.  Writes
-    the labels to ``labels`` (B, n) and returns whether each row's clusters
-    all fit in a radius-r disk.
+    take blocks of rows that fit them, and so do the bounding boxes.
+    Returns the labels (B, n) and whether each row's clusters all fit in a
+    radius-r disk (B,).
     """
     r = inst.radius
     b_rows, pm = len(ps), int(ps[-1])
     n = inst.k
     pts = np.ascontiguousarray(inst.xy.T)
     seeds = _seed_lockstep(pts, ps, rngs)
+    labels = np.empty((b_rows, n), dtype=np.intp)
     # Feasibility over per-cluster bounding boxes.  Half the larger extent
     # lower-bounds the enclosing radius (too wide: reject); every member lies
     # within half the diagonal of the box centre (accept).  Only the clusters
@@ -426,7 +395,7 @@ def _lloyd_lockstep(
             if not within_radius(r, mec.radius):
                 feasible[b] = False
                 break
-    return feasible
+    return labels, feasible
 
 
 def solve_kmeans(inst: Instance, seed: int = 0, cfg: Optional[TrialConfig] = None) -> Solution:
@@ -438,10 +407,15 @@ def solve_kmeans(inst: Instance, seed: int = 0, cfg: Optional[TrialConfig] = Non
     count may come in under p.  Final centers are each cluster's
     smallest-enclosing-disk center.
 
-    Trial t draws from PCG64(seed + t).  All trials bisect in lockstep: at
-    each step every unfinished trial probes once, and the probes run side by
-    side in blocks that fit the working buffers.  The output is the same as
-    running the trials one after another.
+    Trial t draws from PCG64(seed + t).  All trials bisect in lockstep over
+    four arrays: each trial's open range ``lo``..``hi`` of counts, whether
+    some count was ``found`` feasible, and the ``best`` labels found (trials,
+    n).  At each step every trial whose range is open probes its midpoint,
+    and so does a trial whose range has closed (``lo == hi``) with nothing
+    found, at that last count; the probes run side by side, ascending in p,
+    in blocks that fit the working buffers.  The winner is the first trial
+    with the fewest distinct labels.  The output is the same as running the
+    trials one after another.
     """
     cfg = cfg or TrialConfig()
     pts = inst.points
@@ -453,40 +427,34 @@ def solve_kmeans(inst: Instance, seed: int = 0, cfg: Optional[TrialConfig] = Non
     buf, tmp_buf = np.empty(size), np.empty(size)
 
     rngs = [np.random.Generator(np.random.PCG64(seed + t)) for t in range(cfg.trials)]
-    trials = [_bisect_cluster_count(n_distinct) for _ in range(cfg.trials)]
-    probes = {t: next(trial) for t, trial in enumerate(trials)}
-    results: list[Optional[np.ndarray]] = [None] * cfg.trials
-    labels = np.empty((cfg.trials, n), dtype=np.intp)
-    while probes:
+    # Feasibility is treated as monotone in the count.  One cluster per
+    # distinct position is always feasible, hence the cap.
+    lo = np.ones(cfg.trials, dtype=np.intp)
+    hi = np.full(cfg.trials, n_distinct, dtype=np.intp)
+    found = np.zeros(cfg.trials, dtype=bool)
+    best = np.empty((cfg.trials, n), dtype=np.intp)
+    while True:
+        # A failed probe at the cap leaves lo past hi, which ends the trial.
+        live = np.flatnonzero((lo < hi) | ((lo == hi) & ~found))
+        if live.size == 0:
+            break
+        mid = (lo[live] + hi[live]) // 2
         # Similar counts share a block, so little of it is padding.
-        live = sorted(probes, key=probes.__getitem__)
-        feasible = _lloyd_lockstep(
-            inst,
-            np.array([probes[t] for t in live]),
-            [rngs[t] for t in live],
-            buf,
-            tmp_buf,
-            labels[: len(live)],
-        )
-        for row, t in enumerate(live):
-            try:
-                probes[t] = trials[t].send(labels[row].copy() if feasible[row] else None)
-            except StopIteration as done:
-                results[t] = done.value
-                del probes[t]
-
-    best: Optional[np.ndarray] = None
-    best_m = 0
-    for labels_t in results:
-        if labels_t is None:
-            # Unreachable in practice: one cluster per distinct position has
-            # radius 0.
-            first: dict[tuple[float, float], int] = {}
-            labels_t = np.array([first.setdefault(p, len(first)) for p in pts])
-        m = np.count_nonzero(np.bincount(labels_t))
-        if best is None or m < best_m:
-            best, best_m = labels_t, m
-    assert best is not None
+        order = np.argsort(mid, kind="stable")
+        live, mid = live[order], mid[order]
+        labels, feasible = _lloyd_lockstep(inst, mid, [rngs[t] for t in live], buf, tmp_buf)
+        hit = live[feasible]
+        best[hit], hi[hit], found[hit] = labels[feasible], mid[feasible], True
+        lo[live[~feasible]] = mid[~feasible] + 1
+    if not found.all():
+        # Unreachable in practice: one cluster per distinct position has
+        # radius 0.
+        first: dict[tuple[float, float], int] = {}
+        best[~found] = [first.setdefault(p, len(first)) for p in pts]
+    # Labels lie below n, so an offset of n per trial gives each its own bins.
+    bins = (best + (np.arange(cfg.trials) * n)[:, None]).ravel()
+    used = np.bincount(bins, minlength=cfg.trials * n).reshape(cfg.trials, n)
+    best = best[np.count_nonzero(used, axis=1).argmin()]
 
     centers: list[Point] = []
     newly_all: list[list[int]] = []

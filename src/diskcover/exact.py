@@ -66,7 +66,8 @@ def generate_candidates(inst: Instance) -> list[CandidateDisk]:
     Candidates whose coverage is a subset of another's are dropped; equal
     coverages keep the earliest-emitted candidate.  Coverages are decided in
     blocks of centers and packed into little-endian 64-bit words, and equal
-    ones are merged on those words' bytes before the subset test.  That test
+    ones are merged by one stable lexsort over all those words, which ranks
+    each coverage's earliest center first among its equals.  The subset test
     keeps exactly the maximal coverages, one size class at a time, largest
     first, each against every coverage kept so far in one numpy expression.
     """
@@ -77,23 +78,25 @@ def generate_candidates(inst: Instance) -> list[CandidateDisk]:
 
     centers = np.concatenate([xy, _pair_centers(xy, r, 2.0 * bound)])
 
-    # The earliest center of each distinct coverage, packed into
-    # little-endian 64-bit words: bit k of the packing is point k.
+    # Every coverage packed into little-endian 64-bit words, bit k of the
+    # packing being point k; zero bytes fill each row's last word.
     n_words = (k_total + 63) // 64
-    w = 8 * n_words
-    # Zero bytes fill each row's last word.
-    padded = np.zeros((min(_BLOCK, len(centers)), w), dtype=np.uint8)
-    first: dict[bytes, int] = {}
+    packed = np.zeros((len(centers), 8 * n_words), dtype=np.uint8)
     for s in range(0, len(centers), _BLOCK):
         block = within_mask(xy, centers[s : s + _BLOCK], bound)
-        rows = padded[: len(block)]
-        rows[:, : (k_total + 7) // 8] = np.packbits(block, axis=1, bitorder="little")
-        raw = rows.tobytes()
-        for j, o in enumerate(range(0, len(raw), w), s):
-            first.setdefault(raw[o : o + w], j)
-    earliest = list(first.values())
-    words = np.frombuffer(b"".join(first), dtype="<u8").reshape(-1, n_words)
-    del first  # its keys, one small object each, are all in words now
+        packed[s : s + len(block), : (k_total + 7) // 8] = np.packbits(
+            block, axis=1, bitorder="little"
+        )
+    every = packed.view("<u8")
+    # The earliest center of each distinct coverage, ascending: the sort is
+    # stable, so each run of equal coverages starts at its earliest center.
+    order = np.lexsort(every.T)
+    ranked = every[order]
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    earliest = np.sort(order[first])
+    words = every[earliest]
+    del packed, every, order, ranked, first  # all but words and earliest
 
     # Keep exactly the maximal coverages: a distinct coverage is dropped iff
     # another strictly contains it.  Classes of equal size cannot contain
@@ -117,8 +120,8 @@ def generate_candidates(inst: Instance) -> list[CandidateDisk]:
         kept_not[len(kept) : len(kept) + len(members)] = ~words[members]
         kept += members
     return [
-        CandidateDisk(tuple(centers[i].tolist()), int.from_bytes(words[u], "little"))
-        for i, u in sorted((earliest[u], u) for u in kept)
+        CandidateDisk(tuple(centers[earliest[u]].tolist()), int.from_bytes(words[u], "little"))
+        for u in sorted(kept)
     ]
 
 

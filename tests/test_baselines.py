@@ -248,6 +248,33 @@ class TestKmeansLockstep:
         assert sol.newly_covered == newly
 
 
+class TestKmeansCapProbe:
+    """A trial whose bisection closes on the cap with nothing feasible yet
+    probes the cap once more; its clusters, not one per position, win."""
+
+    @pytest.mark.parametrize("block", [1, None])
+    @pytest.mark.parametrize("trials", [1, 5])
+    @pytest.mark.parametrize(
+        "pts",
+        [
+            # Six points 3r apart: every count below 6 is infeasible.
+            [(3.0 * i, 0.0) for i in range(6)],
+            # One distinct position: the cap is 1 and the range starts closed.
+            [(0.5, -2.0)] * 4,
+        ],
+        ids=["line-3r", "coincident"],
+    )
+    def test_matches_serial_reference(self, pts, trials, block):
+        inst = Instance(points=pts, radius=1.0)
+        cfg = TrialConfig(trials=trials)
+        max_iters = baselines.KMEANS_MAX_ITERS
+        for seed in range(5):
+            sol = kmeans_with_block(inst, seed, cfg, block, max_iters)
+            centers, newly = kmeans_serial(inst.points, inst.radius, trials, seed, max_iters)
+            assert sol.centers == centers
+            assert sol.newly_covered == newly
+
+
 class TestKmeansAt100Trials:
     """K=80, D/r=10 solves at the table's 100 trials."""
 
@@ -266,11 +293,12 @@ class TestKmeansAt100Trials:
     def test_peak_memory_within_the_block_buffers(self):
         # The two working buffers of the batch passes and the refinement
         # hold 8 B per budget element each.  Everything else a K=80, D/r=10,
-        # 100-trial solve holds at once (seeding's per-step arrays, the
-        # feasibility verdicts, 100 generators, the trials' labels; about
-        # 0.75 MiB) must stay within 1 MiB, so that only a deliberate budget
-        # change, which moves the cap with it, can raise the benchmark's peak
-        # RSS much.
+        # 100-trial solve holds at once (seeding's per-step arrays, each
+        # step's labels and feasibility verdicts, the refinement's copy of
+        # the rows it keeps, 100 random generators, and the bisection's lo,
+        # hi, found and best arrays; about 0.8 MiB) must stay within 1 MiB,
+        # so that only a deliberate budget change, which moves the cap with
+        # it, can raise the benchmark's peak RSS much.
         slack = 1 << 20
         inst = generate_topology(80, 1.0, 10408, radius=0.1)
         solve_kmeans(inst, 10408, TrialConfig(trials=100))  # warm the caches
