@@ -102,26 +102,26 @@ def generate_candidates(inst: Instance) -> list[CandidateDisk]:
     # another strictly contains it.  Classes of equal size cannot contain
     # one another, so each class, largest first, is tested against the
     # coverages kept from the larger ones; an empty coverage is dropped like
-    # any subset.
-    sizes = np.bitwise_count(words).sum(axis=1).tolist()
-    by_size: dict[int, list[int]] = {}
-    for u in sorted(range(len(sizes)), key=sizes.__getitem__, reverse=True):
-        by_size.setdefault(sizes[u], []).append(u)
-    by_size.pop(0, None)
-    kept: list[int] = []
+    # any subset.  The classes are runs of one stable argsort by size, so
+    # each lists its members in ascending order.
+    sizes = np.bitwise_count(words).sum(axis=1, dtype=np.int64)
+    order = np.argsort(-sizes, kind="stable")
+    kept: list[np.ndarray] = []
+    n_kept = 0
     kept_not = np.empty_like(words)  # the complements of the kept words
-    for members in by_size.values():
-        prior = kept_not[: len(kept)]
-        step = max(1, _SUBSET_ELEMS // (n_words * len(kept) + 1))
-        inside = [
-            _contained(words[members[a : a + step]], prior) for a in range(0, len(members), step)
-        ]
-        members = [u for u, drop in zip(members, np.concatenate(inside).tolist()) if not drop]
-        kept_not[len(kept) : len(kept) + len(members)] = ~words[members]
-        kept += members
+    for members in np.split(order, np.flatnonzero(np.diff(sizes[order])) + 1):
+        prior = kept_not[:n_kept]
+        step = max(1, _SUBSET_ELEMS // (n_words * n_kept + 1))
+        drop = np.concatenate(
+            [_contained(words[members[a : a + step]], prior) for a in range(0, len(members), step)]
+        )
+        members = members[~drop]
+        kept_not[n_kept : n_kept + len(members)] = ~words[members]
+        kept.append(members)
+        n_kept += len(members)
     return [
         CandidateDisk(tuple(centers[earliest[u]].tolist()), int.from_bytes(words[u], "little"))
-        for u in sorted(kept)
+        for u in np.sort(np.concatenate(kept)).tolist()
     ]
 
 

@@ -199,6 +199,26 @@ def one_center(points: Sequence[Point]) -> Disk:
     return Disk((cx, cy), max([hypot(cx - x, cy - y) for x, y in zip(xs, ys)]))
 
 
+def grow_disk(disk: Disk, xs: list[float], ys: list[float]) -> Disk:
+    """Smallest disk over the points ``(xs[i], ys[i])``, given ``disk``, the
+    one over all of them but the last, p.
+
+    Welzl's (1991) step: a p inside ``disk`` keeps its center, and a p
+    outside it lies on the boundary of the new disk, which one pass over the
+    other points with p known finds.  Under the same contract as
+    :func:`one_center`, which ``disk`` must meet too, the returned radius is
+    the exact maximum center-to-point distance.
+    """
+    hypot = math.hypot
+    (cx, cy), radius = disk
+    px, py = xs[-1], ys[-1]
+    d = hypot(cx - px, cy - py)
+    if d <= radius * _MEC_EPS:
+        return Disk((cx, cy), max(radius, d))
+    cx, cy, _ = _mec_one_known(xs, ys, len(xs) - 1, px, py)
+    return Disk((cx, cy), max([hypot(cx - x, cy - y) for x, y in zip(xs, ys)]))
+
+
 # The kernels below work on the shuffled coordinates as two lists, xs and ys,
 # and return a disk as (center x, center y, radius).
 _Circle = tuple[float, float, float]

@@ -14,7 +14,15 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .geometry import Point, convex_hull, coverage_bound, dist, one_center, within_mask
+from .geometry import (
+    Point,
+    convex_hull,
+    coverage_bound,
+    dist,
+    grow_disk,
+    one_center,
+    within_mask,
+)
 from .problem import Instance, Solution
 
 # The chord test of _hull_input drops a point only when it sits inside every
@@ -73,16 +81,19 @@ def local_cover(
     repeatedly: drop secondary candidates that sit farther than 2r from some
     committed point (they can never share its disk), absorb candidates already
     within r of the current location, then try the nearest remaining candidate
-    by re-solving the enclosing-disk problem; stop at the first candidate that
-    would push the disk radius past r.
+    on the smallest disk enclosing the committed points, grown one point at a
+    time (:func:`grow_disk`) over the candidate and then the points absorbed
+    since the last trial; stop at the first candidate that would push the
+    disk radius past r.  The location moves only when a candidate is
+    admitted, to the center of the grown disk.
 
     Returns the final location and the committed indices (in admission
     order).  Raises :class:`ContractError` when the preconditions fail: prio
     empty or repeating an index, sec repeating an index, prio/sec
     overlapping, or `u` not covering all of prio under the package's
     coverage rule.  That check also rejects a prio that no radius-r disk
-    covers; a prio that `u` covers fits the disk at `u`, so prio itself is
-    never re-solved.
+    covers; a prio that `u` covers fits the disk at `u`, so prio's own
+    enclosing disk is not tested against r on its own.
     """
     r = inst.radius
     pts = inst.points
@@ -119,6 +130,13 @@ def local_cover(
         return kept
 
     pending = keep_near(pending, covered)
+    if not pending:
+        return LocalCoverResult(center=loc, covered=covered)
+    # The smallest disk over the points committed before each pass, grown one
+    # point at a time, with their coordinates in the order it took them.
+    disk = one_center([pts[k] for k in covered])
+    xs = [pts[k][0] for k in covered]
+    ys = [pts[k][1] for k in covered]
     while pending:
         lx, ly = loc
         near = []
@@ -140,9 +158,18 @@ def local_cover(
             d = hypot(lx - x, ly - y)
             if k1 < 0 or d < best or (d == best and k < k1):
                 k1, best = k, d
-        trial = one_center([pts[k] for k in covered] + [pts[k1]])
+        # The disk grows over k1 first, then over the points just absorbed:
+        # k1 lies outside it far more often, and the disk that holds k1
+        # holds most of them.
+        trial = disk
+        for k in [k1, *near]:
+            x, y = pts[k]
+            xs.append(x)
+            ys.append(y)
+            trial = grow_disk(trial, xs, ys)
         if trial.radius > bound:
             break
+        disk = trial
         loc = trial.center
         covered.append(k1)
         pending.remove(k1)

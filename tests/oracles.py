@@ -15,7 +15,10 @@ k-means replaced, the monotone chain over every point and the spiral loop
 that the spiral's prefiltered, carried hull replaced, the candidate pruning
 that ``local_cover``'s flat loops replaced, and the recursive enclosing-disk
 construction that the flat kernel replaced.  They run on the same primitives
-or the same arithmetic, so each pair must agree bit for bit.
+or the same arithmetic, so each pair must agree bit for bit.  The one
+exception is ``local_cover_serial(..., resolve="scratch")``, which re-solves
+every trial disk from scratch as ``local_cover`` once did, and so agrees
+with it up to rounding.
 """
 
 from __future__ import annotations
@@ -674,14 +677,21 @@ def local_cover_serial(
     prio: Sequence[int],
     sec: Sequence[int],
     inst: Instance,
+    resolve: str = "incremental",
 ) -> LocalCoverResult:
     """The candidate pruning that the flat loops of
     :func:`diskcover.spiral.local_cover` replaced: a generator of
     :func:`dist` calls per pending candidate, a list comprehension over
     :func:`covers` and a ``min`` keyed on ``(dist, index)``.
 
-    Same contract, and the same distances in the same order, so the two
-    must return equal results.
+    ``resolve`` says how each trial disk is found.  ``"incremental"`` grows
+    the smallest disk over the committed points with Welzl's step over the
+    recursive kernels below, over the candidate and then the points
+    absorbed since the last trial; it has the same contract, and the same
+    distances in the same order, so its results equal ``local_cover``'s.
+    ``"scratch"`` re-solves the trial disk over every committed point with
+    :func:`one_center`, as ``local_cover`` once did; it may differ from it
+    in the last bits of the disks.
     """
     r = inst.radius
     pts = inst.points
@@ -714,6 +724,8 @@ def local_cover_serial(
         return kept
 
     pending = keep_near(pending, covered)
+    disk = one_center([pts[k] for k in covered]) if pending else None
+    grown = list(covered)  # the points of `disk`, in the order it took them
     while pending:
         here = Disk(loc, r)
         near = [k for k in pending if covers(here, pts[k])]
@@ -725,9 +737,16 @@ def local_cover_serial(
             if not pending:
                 break
         k1 = min(pending, key=lambda k: (dist(loc, pts[k]), k))
-        trial = one_center([pts[k] for k in covered] + [pts[k1]])
+        if resolve == "incremental":
+            trial = disk
+            for k in [k1] + near:
+                trial = _grow_serial(trial, [pts[g] for g in grown], pts[k])
+                grown.append(k)
+        else:
+            trial = one_center([pts[k] for k in covered] + [pts[k1]])
         if trial.radius > bound:
             break
+        disk = trial
         loc = trial.center
         covered.append(k1)
         pending.remove(k1)
@@ -736,13 +755,14 @@ def local_cover_serial(
 
 
 def spiral_serial(
-    inst: Instance, seed: int = 0, deterministic_start: bool = True
+    inst: Instance, seed: int = 0, deterministic_start: bool = True, resolve: str = "incremental"
 ) -> list[SpiralStep]:
     """The spiral loop with every uncovered point passed to each step.
 
     Each step takes the serial hull of all uncovered points, hands every
     interior point to the second ``local_cover_serial`` call and tests every
-    uncovered point against the placed disk.
+    uncovered point against the placed disk.  ``resolve`` is passed to
+    both ``local_cover_serial`` calls.
     """
     r = inst.radius
     pts = inst.points
@@ -765,8 +785,8 @@ def spiral_serial(
         else:
             k0 = boundary[int(rng.integers(len(boundary)))]
 
-        first = local_cover_serial(pts[k0], [k0], [k for k in boundary if k != k0], inst)
-        second = local_cover_serial(first.center, first.covered, inner, inst)
+        first = local_cover_serial(pts[k0], [k0], [k for k in boundary if k != k0], inst, resolve)
+        second = local_cover_serial(first.center, first.covered, inner, inst, resolve)
         center = second.center
 
         disk = Disk(center, r)
@@ -820,6 +840,16 @@ def one_center_serial(points: Sequence[Point]) -> Disk:
     assert c is not None
     radius = max(dist(c.center, q) for q in pts)
     return Disk(c.center, radius)
+
+
+def _grow_serial(disk: Disk, points: Sequence[Point], p: Point) -> Disk:
+    # Welzl's step: the smallest disk over `points` and p, given `disk`, the
+    # one over `points` with its radius their largest distance from its center.
+    d = dist(disk.center, p)
+    if d <= disk.radius * _MEC_EPS:
+        return Disk(disk.center, max(disk.radius, d))
+    center = _mec_one_known(points, p).center
+    return Disk(center, max(dist(center, q) for q in [*points, p]))
 
 
 def _inside(c: Disk, p: Point) -> bool:

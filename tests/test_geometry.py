@@ -11,6 +11,7 @@ from diskcover.geometry import (
     coverage_bound,
     covers,
     dist,
+    grow_disk,
     one_center,
     within_mask,
     within_radius,
@@ -397,6 +398,49 @@ class TestOneCenterMatchesSerial:
         for n in range(1, 120):
             pts = [(x + offset, y - offset) for x, y in uniform_points(n, seed=700 + n)]
             assert one_center(pts) == one_center_serial(pts)
+
+
+class TestGrowDisk:
+    """Welzl's step, taken one point at a time, keeps the smallest enclosing disk."""
+
+    @given(
+        grid_point_lists(min_size=1, max_size=20),
+        st.sampled_from([10.0**e for e in range(-6, 7)]),
+    )
+    @settings(max_examples=200)
+    def test_grown_from_one_point_matches_one_center(self, pts, scale):
+        pts = [(x * scale, y * scale) for x, y in pts]
+        disk = Disk(pts[0], 0.0)
+        xs, ys = [pts[0][0]], [pts[0][1]]
+        for n, (x, y) in enumerate(pts[1:], start=2):
+            xs.append(x)
+            ys.append(y)
+            disk = grow_disk(disk, xs, ys)
+            for p in pts[:n]:
+                assert dist(disk.center, p) <= disk.radius
+            assert disk.radius == pytest.approx(one_center(pts[:n]).radius, rel=1e-12)
+
+    @given(disk_cases())
+    @settings(max_examples=150)
+    def test_grown_disk_holds_every_point_exactly(self, pts):
+        # The kernel's families, far from the unit box and nudged by ulps:
+        # points a rounding away from the boundary must still fall inside.
+        disk = Disk(pts[0], 0.0)
+        xs, ys = [pts[0][0]], [pts[0][1]]
+        for x, y in pts[1:]:
+            xs.append(x)
+            ys.append(y)
+            disk = grow_disk(disk, xs, ys)
+        assert all(dist(disk.center, p) <= disk.radius for p in pts)
+
+    def test_point_inside_keeps_the_center(self):
+        disk = one_center([(0.0, 0.0), (2.0, 0.0)])
+        assert grow_disk(disk, [0.0, 2.0, 1.0], [0.0, 0.0, 0.5]) == disk
+
+    def test_point_outside_lies_on_the_boundary(self):
+        disk = grow_disk(Disk((1.0, 0.0), 1.0), [0.0, 2.0, 1.0], [0.0, 0.0, 3.0])
+        assert disk == one_center([(0.0, 0.0), (2.0, 0.0), (1.0, 3.0)])
+        assert dist(disk.center, (1.0, 3.0)) == disk.radius
 
 
 class TestWithinRadius:

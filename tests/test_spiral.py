@@ -12,12 +12,14 @@ from diskcover import (
     solve_spiral,
 )
 from diskcover.exact import min_cover
+from diskcover import spiral
 from diskcover.spiral import spiral_steps
 from diskcover.geometry import Disk, coverage_bound, covers, dist, within_radius
 from diskcover.bench import generate_topology
 
 from conftest import grid_point_lists, instances, offsets, scales
 from oracles import best_single_disk_extension, local_cover_serial, spiral_serial
+from test_acceptance import K80_BASE, K80_SPIRAL_COUNTS, K400_BASE, K400_SPIRAL_COUNTS
 
 
 def make_inst(points, r):
@@ -294,7 +296,8 @@ def spiral_cases(draw):
 
 class TestLocalCoverMatchesSerial:
     """The flat candidate loops of local_cover decide every candidate as the
-    generator-based pruning in tests/oracles.py does."""
+    generator-based pruning in tests/oracles.py does, with the same
+    incremental trial disk."""
 
     @given(spiral_cases(), st.data())
     @settings(max_examples=200)
@@ -428,3 +431,64 @@ class TestSpiralMatchesSerial:
         sol = solve_spiral(inst)
         assert max(len(g) for g in sol.newly_covered) == 2
         assert_same_as_serial(inst)
+
+
+def assert_close_to_from_scratch(inst):
+    # Every decision as when each trial disk is re-solved from scratch; the
+    # centers may differ in their last bits.
+    steps = list(spiral_steps(inst))
+    want = spiral_serial(inst, resolve="scratch")
+    assert len(steps) == len(want)
+    for got, ref in zip(steps, want):
+        assert (got.k0, got.boundary, got.newly_boundary, got.newly) == (
+            ref.k0,
+            ref.boundary,
+            ref.newly_boundary,
+            ref.newly,
+        )
+        assert dist(got.center, ref.center) <= 1e-12 * inst.radius
+
+
+class TestSpiralCloseToFromScratch:
+    """Growing the trial disk one point at a time commits the same points and
+    places as many disks as re-solving it from scratch, on topologies in the
+    unit square.  Far from the origin the two roundings may split."""
+
+    @pytest.mark.parametrize("ratio", list(K80_SPIRAL_COUNTS))
+    def test_criterion_2_topologies(self, ratio):
+        for t in range(len(K80_SPIRAL_COUNTS[ratio])):
+            inst = generate_topology(80, 1.0, K80_BASE + t, radius=1.0 / ratio)
+            assert_close_to_from_scratch(inst)
+
+    @pytest.mark.parametrize("ratio", list(K400_SPIRAL_COUNTS))
+    def test_criterion_3_topologies(self, ratio):
+        for t in range(len(K400_SPIRAL_COUNTS[ratio])):
+            inst = generate_topology(400, 1.0, K400_BASE + t, radius=1.0 / ratio)
+            assert_close_to_from_scratch(inst)
+
+    # The deployment shapes: K=5000 at D/r=20 and K=2000 at D/r=50.
+    @pytest.mark.parametrize("topology", [6000, 6001])
+    @pytest.mark.parametrize("k, ratio", [(5000, 20.0), (2000, 50.0)])
+    def test_deployment_shapes(self, k, ratio, topology):
+        assert_close_to_from_scratch(generate_topology(k, 1.0, topology, radius=1.0 / ratio))
+
+
+def test_one_center_runs_at_most_once_per_local_cover(monkeypatch):
+    # local_cover solves prio's disk once and grows every trial disk from it.
+    calls: list[int] = []
+    one_center_, local_cover_ = spiral.one_center, spiral.local_cover
+
+    def counted_one_center(points):
+        calls[-1] += 1
+        return one_center_(points)
+
+    def counted_local_cover(*args):
+        calls.append(0)
+        return local_cover_(*args)
+
+    monkeypatch.setattr(spiral, "one_center", counted_one_center)
+    monkeypatch.setattr(spiral, "local_cover", counted_local_cover)
+    sol = solve_spiral(generate_topology(400, 1.0, K400_BASE, radius=1.0 / 20.0))
+    assert len(calls) == 2 * sol.m
+    assert max(calls) <= 1
+    assert sum(calls) > sol.m
