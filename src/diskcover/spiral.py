@@ -25,9 +25,10 @@ from .geometry import (
 )
 from .problem import Instance, Solution
 
-# The chord test of _hull_input drops a point only when it sits inside every
-# chord by more than _HULL_MARGIN * (largest |coordinate|) * (extent) in
-# cross-product units.  It evaluates each chord untranslated, as
+# Both chord tests, the one of _hull_input against the extremes' polygon and
+# the one of _carried_hull against each chord of the previous hull, take a
+# point as inside only by more than _HULL_MARGIN * (largest |coordinate|) *
+# (extent) in cross-product units.  They evaluate each chord untranslated, as
 # normal . p > normal . a, whose rounding grows with the coordinates'
 # magnitude: at offsets such as UTM coordinates a margin of extent**2 alone
 # would let a hull vertex pass as interior.
@@ -177,64 +178,100 @@ def local_cover(
     return LocalCoverResult(center=loc, covered=covered)
 
 
-def _hull_input(
-    uncovered: np.ndarray,
-    sub: np.ndarray,
-    ring: Sequence[int],
-    alive: np.ndarray,
-    margin: float,
-) -> np.ndarray:
-    """Ascending indices of the uncovered points the next hull must be given:
-    the vertices of a polygon of them plus the points outside a chord.
+def _inside_chords(sub: np.ndarray, a: np.ndarray, b: np.ndarray, margin: float) -> np.ndarray:
+    """Row c marks the rows p of ``sub`` inside chord ``a[c] -> b[c]`` by more
+    than ``margin``: (b - a) x (p - a) > margin, evaluated untranslated as
+    normal . p > normal . a + margin."""
+    normal = (b - a)[:, ::-1] * _LEFT_NORMAL
+    return normal @ sub.T > ((normal * a).sum(axis=1) + margin)[:, None]
 
-    ``sub`` holds the coordinates of ``uncovered``; ``ring`` is the previous
-    hull and ``alive`` marks the points still uncovered.  With three or more
-    survivors of ``ring`` the polygon is theirs, and its chords are its edges
-    across removed vertices.  Otherwise it is the polygon of the extremes
-    along _EXTREME_DIRECTIONS, taken in that order (Akl & Toussaint, 1978),
-    and every edge is a chord; with fewer than three distinct extremes every
-    point is kept.  This is exact, because :func:`convex_hull` decides every
-    turn exactly:
 
-    * the polygon's vertices are uncovered points, and are kept;
-    * a point strictly inside every edge of a closed polygon lies inside the
-      convex hull of its vertices, so any other hull vertex is not.  Nor does
-      it lie outside an edge of the previous hull, which holds every
-      uncovered point, or on one between two survivors; so it is not
-      strictly inside some chord;
-    * a point is kept unless it is inside every chord by more than
-      ``margin``, which covers the rounding of the chord test.  Kept points
-      that sit on or near a chord are no vertices, and the exact chain drops
-      them.
+def _hull_input(uncovered: np.ndarray, sub: np.ndarray, margin: float) -> np.ndarray:
+    """Ascending indices of the uncovered points the hull must be given: the
+    extremes along _EXTREME_DIRECTIONS plus the points outside a chord of
+    their polygon.
+
+    ``sub`` holds the coordinates of ``uncovered``.  The extremes, taken in
+    the order of the directions, are the vertices of a closed polygon of
+    uncovered points (Akl & Toussaint, 1978), and every edge is a chord; with
+    fewer than three distinct extremes every point is kept.  This is exact,
+    because :func:`convex_hull` decides every turn exactly: a point inside
+    every edge of the polygon lies inside the convex hull of its vertices,
+    and a point is kept unless it is inside every chord by more than
+    ``margin``, which covers the rounding of the chord test.  Kept points on
+    or near a chord are no vertices, and the exact chain drops them.
 
     The chord test decides by coordinates, so a point enters with all its
     duplicates, and each polygon vertex is the lowest index of its
     coordinate: the lowest index still stands for each run of duplicates.
-    The anchor of the previous step is a ring vertex and its disk covers it,
-    so three or more survivors leave at least one chord.
     """
-    pos = [i for i, k in enumerate(ring) if alive[k]]
-    if len(pos) >= 3:
-        verts = np.searchsorted(uncovered, [ring[i] for i in pos])
-        # Edge e runs from vertex e to the next one; it is a chord when the
-        # ring had vertices between them.
-        chords = [
-            e for e, (i, j) in enumerate(zip(pos, pos[1:] + pos[:1])) if (j - i) % len(ring) != 1
-        ]
-    else:
-        ext = np.argmax(_EXTREME_DIRECTIONS @ sub.T, axis=1)
-        verts = ext[ext != np.roll(ext, 1)]
-        if len(set(verts.tolist())) < 3:
-            return uncovered
-        chords = list(range(len(verts)))
+    ext = np.argmax(_EXTREME_DIRECTIONS @ sub.T, axis=1)
+    verts = ext[ext != np.roll(ext, 1)]
+    if len(set(verts.tolist())) < 3:
+        return uncovered
     a = sub[verts]
-    b = np.roll(a, -1, axis=0)
-    a, b = a[chords], b[chords]
-    # (b - a) x (p - a) > margin for all points at once, as normal . p > normal . a + margin.
-    normal = (b - a)[:, ::-1] * _LEFT_NORMAL
-    inside = (normal @ sub.T > ((normal * a).sum(axis=1) + margin)[:, None]).all(axis=0)
+    inside = _inside_chords(sub, a, np.roll(a, -1, axis=0), margin).all(axis=0)
     inside[verts] = False
     return uncovered[~inside]
+
+
+def _carried_hull(
+    ring: list[int], alive: np.ndarray, uncovered: np.ndarray, sub: np.ndarray, margin: float
+) -> Optional[list[int]]:
+    """The hull of the uncovered points, carried over from the previous hull
+    ``ring``, or None when fewer than three of its vertices are uncovered.
+
+    ``sub`` holds the coordinates of ``uncovered``, and ``alive`` marks the
+    points still uncovered.  The uncovered set only loses points, so each
+    surviving vertex of ``ring`` is still a vertex, listed in place.  Each
+    chord a -> b between survivors that had vertices between them gets a new
+    arc: the part from a to b of :func:`convex_hull` over its pocket, the
+    uncovered points not inside the chord by more than ``margin`` (a and b
+    among them, on the chord).  This is exact:
+
+    * a new vertex lies beyond exactly one chord, because the wedge beyond a
+      survivor lies outside the previous hull, which holds every uncovered
+      point;
+    * the hull's vertices beyond chord a -> b are those of the chain over its
+      pocket: the pocket holds every uncovered point beyond the chord, the
+      margin covering the rounding of the chord test, and the chain decides
+      every turn exactly.  Its arc from a to b lists just those vertices;
+      the points it keeps on or inside the chord lie off that arc;
+    * the chord test decides by coordinates, so a point enters with all its
+      duplicates.  A survivor is the lowest index of its coordinate, and so
+      is each new vertex.
+
+    The ring keeps its first vertex, the bottom-most (then left-most), if
+    that survives, and otherwise starts at its new one, as
+    :func:`convex_hull` starts its list.  The anchor of the previous step is
+    a vertex of ``ring`` and its disk covers it, so three or more survivors
+    leave at least one chord.
+    """
+    pos = [i for i, k in enumerate(ring) if alive[k]]
+    if len(pos) < 3:
+        return None
+    # Positions in ``uncovered``: of the survivors, then of the whole ring.
+    out = np.searchsorted(uncovered, [ring[i] for i in pos]).tolist()
+    # Survivor e and the next one bound a chord when the ring had vertices
+    # between them.
+    chords = [
+        e for e, (i, j) in enumerate(zip(pos, pos[1:] + pos[:1])) if (j - i) % len(ring) != 1
+    ]
+    a = [out[e] for e in chords]
+    b = [out[(e + 1) % len(out)] for e in chords]
+    inside = _inside_chords(sub, sub[a], sub[b], margin)
+    # Splice from the last chord back, so that the earlier ones stay put.
+    for c in reversed(range(len(chords))):
+        pocket = np.flatnonzero(~inside[c])
+        hull = pocket[convex_hull(sub[pocket])].tolist()
+        i = hull.index(a[c])
+        arc = hull[i + 1 :] + hull[:i]
+        e = chords[c] + 1
+        out[e:e] = arc[: arc.index(b[c])]
+    if pos[0]:
+        start = int(np.lexsort(sub[out].T)[0])
+        out = out[start:] + out[:start]
+    return uncovered[out].tolist()
 
 
 def spiral_steps(
@@ -248,6 +285,13 @@ def spiral_steps(
     using ``seed``.  Subsequent anchors follow the counterclockwise walk from
     the previous anchor over the hull points that remain uncovered.  The
     steps' ``newly`` lists partition the point indices.
+
+    The hull is carried from step to step as a deletion-only hull: while
+    three or more of its vertices stay uncovered, only the arc across each
+    chord a disk opened is chained again (:func:`_carried_hull`).  The first
+    hull, and any hull after a disk left fewer than three vertices, is
+    chained over the points outside the chords of the extremes' polygon
+    (:func:`_hull_input`).
     """
     r = inst.radius
     pts = inst.points
@@ -258,16 +302,18 @@ def spiral_steps(
     alive = np.ones(inst.k, dtype=bool)
     uncovered = np.arange(inst.k)
     carried: Optional[int] = None
-    # The hull is carried from step to step: each step's hull input is
-    # derived from the previous hull (see _hull_input).  The whole instance's
-    # margin is at least that of any subset, so it errs towards keeping.
+    # The whole instance's margin is at least that of any subset, so both
+    # chord tests err towards keeping.
     margin = _HULL_MARGIN * float(np.abs(xy).max()) * float(np.ptp(xy, axis=0).max())
     boundary: list[int] = []
 
     while uncovered.size:
         sub = xy[uncovered]
-        cand = _hull_input(uncovered, sub, boundary, alive, margin)
-        boundary = cand[convex_hull(xy[cand])].tolist()
+        ring = _carried_hull(boundary, alive, uncovered, sub, margin)
+        if ring is None:
+            cand = _hull_input(uncovered, sub, margin)
+            ring = cand[convex_hull(xy[cand])].tolist()
+        boundary = ring
         bset = set(boundary)
 
         if carried is not None and carried in bset:

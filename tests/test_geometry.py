@@ -209,11 +209,10 @@ def hull_cases(draw):
 
 
 def first_hull_input(xy):
-    """The spiral's first hull input: its chord test with no previous hull,
-    at the margin the spiral takes for the instance."""
+    """The spiral's first hull input: its chord test against the extremes'
+    polygon, at the margin the spiral takes for the instance."""
     margin = _HULL_MARGIN * float(np.abs(xy).max()) * float(np.ptp(xy, axis=0).max())
-    idx = np.arange(len(xy))
-    return _hull_input(idx, xy, [], np.ones(len(xy), dtype=bool), margin)
+    return _hull_input(np.arange(len(xy)), xy, margin)
 
 
 def prefiltered_hull(pts):

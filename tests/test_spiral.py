@@ -18,7 +18,12 @@ from diskcover.geometry import Disk, coverage_bound, covers, dist, within_radius
 from diskcover.bench import generate_topology
 
 from conftest import grid_point_lists, instances, offsets, scales
-from oracles import best_single_disk_extension, local_cover_serial, spiral_serial
+from oracles import (
+    best_single_disk_extension,
+    convex_hull_serial,
+    local_cover_serial,
+    spiral_serial,
+)
 from test_acceptance import K80_BASE, K80_SPIRAL_COUNTS, K400_BASE, K400_SPIRAL_COUNTS
 
 
@@ -328,6 +333,20 @@ class TestLocalCoverMatchesSerial:
         assert res.covered == [0, 1]
 
 
+def removed_runs(step):
+    """How many runs of its hull's vertices a step's disk covers, each a
+    chord that the next hull is carried across."""
+    newly = set(step.newly)
+    gone = [k in newly for k in step.boundary]
+    return sum(1 for i in range(len(gone)) if gone[i] and not gone[i - 1])
+
+
+def survivors(step):
+    """The vertices of a step's hull that its disk leaves uncovered."""
+    newly = set(step.newly)
+    return [k for k in step.boundary if k not in newly]
+
+
 def assert_same_as_serial(inst, **kwargs):
     steps = list(spiral_steps(inst, **kwargs))
     assert steps == spiral_serial(inst, **kwargs)
@@ -368,12 +387,6 @@ class TestSpiralMatchesSerial:
         pts = [(offset + x * c - y * s, offset + x * s + y * c) for x, y in strip]
         inst = make_inst(pts, 1.0)
         steps = assert_same_as_serial(inst, seed=17, deterministic_start=deterministic_start)
-
-        def removed_runs(step):
-            newly = set(step.newly)
-            gone = [k in newly for k in step.boundary]
-            return sum(1 for i in range(len(gone)) if gone[i] and not gone[i - 1])
-
         assert len(steps) > 50
         assert sum(1 for step in steps if removed_runs(step) >= 2) >= 5
 
@@ -431,6 +444,137 @@ class TestSpiralMatchesSerial:
         sol = solve_spiral(inst)
         assert max(len(g) for g in sol.newly_covered) == 2
         assert_same_as_serial(inst)
+
+
+def assert_rings_are_hulls(inst, **kwargs):
+    """Every step's hull is the serial hull of all uncovered points, listed
+    from the same start vertex, however it was carried."""
+    pts = inst.points
+    uncovered = list(range(inst.k))
+    steps = list(spiral_steps(inst, **kwargs))
+    for step in steps:
+        hull = convex_hull_serial([pts[k] for k in uncovered])
+        assert step.boundary == [uncovered[i] for i in hull]
+        newly = set(step.newly)
+        uncovered = [k for k in uncovered if k not in newly]
+    assert not uncovered
+    return steps
+
+
+# UTM-sized coordinates: easting about 6.8e5 m, northing about 4.9e6 m.
+UTM = (676_345.0, 4_876_210.0)
+
+
+@st.composite
+def ring_cases(draw):
+    """Instances whose hulls are carried through degenerate steps: points on
+    one line, 1/64-grid points, a part of a lattice of spacing exactly 2r and
+    points on a circle (every point a hull vertex), each with duplicates, at
+    an offset up to UTM-sized coordinates and beyond."""
+    kind = draw(st.sampled_from(["line", "grid", "lattice_2r", "circle"]))
+    r = draw(st.sampled_from([0.25, 0.5, 1.0, 3.0]))
+    n = draw(st.integers(min_value=1, max_value=60))
+    if kind == "line":
+        ts = draw(st.lists(st.integers(min_value=0, max_value=40), min_size=n, max_size=n))
+        pts = [(3.0 * r * t / 4.0, r * t / 2.0) for t in ts]
+    elif kind == "grid":
+        pts = draw(grid_point_lists(min_size=1, max_size=60))
+        r = draw(st.sampled_from([2.0, 8.0, 25.0]))
+    elif kind == "lattice_2r":
+        i = st.integers(min_value=0, max_value=7)
+        ab = draw(st.lists(st.tuples(i, i), min_size=n, max_size=n))
+        pts = [(2.0 * r * a, 2.0 * r * b) for a, b in ab]
+    else:
+        rho = r * draw(st.sampled_from([1.5, 4.0, 20.0]))
+        pts = [(rho * np.cos(2 * np.pi * j / n), rho * np.sin(2 * np.pi * j / n)) for j in range(n)]
+    for _ in range(draw(st.integers(min_value=0, max_value=6))):
+        pts.insert(draw(st.integers(0, len(pts))), pts[draw(st.integers(0, len(pts) - 1))])
+    utm = st.sampled_from([(0.0, 0.0), UTM, (-UTM[0], UTM[1])])
+    ox, oy = draw(utm | st.tuples(offsets, offsets))
+    return make_inst([(float(x) + ox, float(y) + oy) for x, y in pts], r)
+
+
+class TestCarriedHull:
+    """The hull carried from step to step, re-chained only across the chords
+    each disk opens, is the hull of every uncovered point."""
+
+    @given(ring_cases())
+    @settings(max_examples=200)
+    def test_every_ring_is_the_hull(self, inst):
+        assert_rings_are_hulls(inst)
+
+    @given(ring_cases(), st.integers(min_value=0, max_value=2**31))
+    @settings(max_examples=60)
+    def test_every_ring_is_the_hull_from_a_seeded_start(self, inst, seed):
+        assert_rings_are_hulls(inst, seed=seed, deterministic_start=False)
+
+    @pytest.mark.parametrize("offset", [(0.0, 0.0), UTM])
+    @pytest.mark.parametrize("deterministic_start", [True, False])
+    def test_points_on_a_circle(self, offset, deterministic_start):
+        # Every point is a hull vertex, so each disk opens a chord over the
+        # arc it covers, and each pocket holds the chord's ends alone.
+        ox, oy = offset
+        t = 2 * np.pi * np.arange(300) / 300
+        xs, ys = (ox + 40.0 * np.cos(t)).tolist(), (oy + 40.0 * np.sin(t)).tolist()
+        inst = make_inst(list(zip(xs, ys)), 1.0)
+        steps = assert_rings_are_hulls(inst, seed=3, deterministic_start=deterministic_start)
+        assert len(steps[0].boundary) == inst.k
+
+    @pytest.mark.parametrize("offset", [0.0, 1e9])
+    def test_lattice_of_spacing_exactly_2r_at_an_offset(self, offset):
+        r = 0.5
+        pts = [(offset + 2.0 * r * a, offset + 2.0 * r * b) for a in range(12) for b in range(7)]
+        assert_rings_are_hulls(make_inst(pts + pts[::5], r))
+
+    def test_a_disk_that_opens_two_chords(self):
+        # A strip 1.7r tall: the first disk takes the bottom vertex and the
+        # top one, non-adjacent on the hull, and each chord's pocket holds a
+        # point that becomes a vertex.
+        pts = [(5.0, -0.1), (10.0, 0.0), (10.0, 1.5), (5.0, 1.6), (0.0, 1.5), (0.0, 0.0)]
+        pts += [(2.5, -0.02), (7.5, -0.03), (2.5, 1.52), (7.5, 1.53), (5.0, 0.75)]
+        inst = make_inst(pts, 1.0)
+        steps = assert_same_as_serial(inst)
+        assert removed_runs(steps[0]) == 2 and len(survivors(steps[0])) == 4
+        assert {6, 7, 8, 9} <= set(steps[1].boundary)
+
+    def test_a_disk_that_leaves_three_survivors(self):
+        pts = [(2.0, -3.0), (4.0, 0.0), (2.0, 4.0), (0.0, 0.0), (2.0, -0.5), (2.0, 1.0)]
+        inst = make_inst(pts, 1.0)
+        steps = assert_same_as_serial(inst)
+        assert survivors(steps[0]) == [1, 2, 3]
+        # The lowest vertex was covered, so the ring starts at the new one.
+        assert steps[1].boundary == [4, 1, 2, 3]
+
+    def test_a_disk_that_leaves_two_survivors_mid_run(self):
+        # A triangle around interior points: the first disk takes a corner,
+        # so the second hull is chained afresh from the extremes.
+        pts = [(0.0, 0.0), (10.0, 0.0), (5.0, 8.0), (5.0, 3.0), (4.0, 2.0), (6.0, 2.0), (1.0, 0.5)]
+        inst = make_inst(pts, 1.0)
+        steps = assert_same_as_serial(inst)
+        assert len(survivors(steps[0])) == 2
+        assert len(steps) >= 4
+
+    @pytest.mark.parametrize("offset", [0.0, 1e3, 1e6, 1e9])
+    def test_a_pocket_of_points_exactly_on_the_chord(self, offset):
+        # Covering the bottom vertex opens the chord (0, 0) -> (4, 0), and
+        # its pocket holds only points on it: the chain over them is the
+        # chord's two ends, and the arc between them is empty.
+        shape = [(2.0, -3.0), (0.0, 0.0), (4.0, 0.0), (4.0, 4.0), (0.0, 4.0)]
+        shape += [(1.0, 0.0), (3.0, 0.0), (2.0, 0.0)]
+        inst = make_inst([(offset + x, offset + y) for x, y in shape], 1.0)
+        steps = assert_same_as_serial(inst)
+        assert steps[0].newly == [0]
+        assert steps[1].boundary == [1, 2, 3, 4]
+
+    def test_a_duplicate_of_a_surviving_vertex_at_a_higher_index(self):
+        # Copies of both ends of the opened chord and of another survivor,
+        # after every original: the pocket holds each end twice, and the
+        # ring keeps listing the lowest index.
+        shape = [(2.0, -3.0), (0.0, 0.0), (4.0, 0.0), (4.0, 4.0), (0.0, 4.0), (2.0, -0.5)]
+        inst = make_inst(shape + [(0.0, 0.0), (4.0, 0.0), (4.0, 4.0)], 1.0)
+        steps = assert_same_as_serial(inst)
+        assert steps[0].newly == [0]
+        assert steps[1].boundary == [5, 2, 3, 4, 1]
 
 
 def assert_close_to_from_scratch(inst):
