@@ -10,7 +10,16 @@ from typing import Optional
 import numpy as np
 
 from .exact import DEFAULT_NODE_LIMIT
-from .geometry import Disk, Point, coverage_bound, covers, one_center, within_mask, within_radius
+from .geometry import (
+    Disk,
+    Point,
+    coverage_bound,
+    covers,
+    grow_disk,
+    one_center,
+    within_mask,
+    within_radius,
+)
 from .problem import Instance, Solution
 
 # Strip height over r: sqrt(3) keeps a midline-centered disk spanning the full
@@ -43,7 +52,9 @@ def solve_strip(inst: Instance, seed: int = 0) -> Solution:
     strip, points are swept by ascending x: starting from the leftmost
     uncovered point, the run of following points is absorbed while the group
     still fits in one radius-r disk, that group's smallest enclosing disk is
-    placed, and every strip point it reaches is covered by it.  Points in
+    placed, and every strip point it reaches is covered by it.  The group's
+    disk grows one point at a time (:func:`grow_disk`), and the sweep stops
+    at the first point that would take it past r.  Points in
     other strips are never considered by a disk, which is the strip scheme's
     defining restriction.  Fully deterministic; `seed` is only recorded.
     """
@@ -66,13 +77,16 @@ def solve_strip(inst: Instance, seed: int = 0) -> Solution:
     for s in sorted(strips):
         remaining = sorted(strips[s], key=lambda k: (pts[k][0], pts[k][1], k))
         while remaining:
-            group = [remaining[0]]
-            mec = one_center([pts[remaining[0]]])
+            x, y = pts[remaining[0]]
+            xs, ys = [x], [y]
+            mec = Disk((x, y), 0.0)
             for k in remaining[1:]:
-                trial = one_center([pts[g] for g in group] + [pts[k]])
+                x, y = pts[k]
+                xs.append(x)
+                ys.append(y)
+                trial = grow_disk(mec, xs, ys)
                 if not within_radius(r, trial.radius):
                     break
-                group.append(k)
                 mec = trial
             disk = Disk(mec.center, r)
             newly = [k for k in remaining if covers(disk, pts[k])]

@@ -11,14 +11,16 @@ bound whose packing sets (none; lowest index first; that, then fewest
 neighbours first) give the trees that the oracle's packing bounds, threshold
 test and relabelled masks must undercut or, with both packings, reproduce
 node for node, the trial-by-trial k-means loop that the package's lockstep
-k-means replaced, the monotone chain over every point and the spiral loop
+k-means replaced, the strip loop that re-solves every trial disk from
+scratch, the monotone chain over every point and the spiral loop
 that the spiral's prefiltered, carried hull replaced, the candidate pruning
 that ``local_cover``'s flat loops replaced, and the recursive enclosing-disk
 construction that the flat kernel replaced.  They run on the same primitives
-or the same arithmetic, so each pair must agree bit for bit.  The one
-exception is ``local_cover_serial(..., resolve="scratch")``, which re-solves
-every trial disk from scratch as ``local_cover`` once did, and so agrees
-with it up to rounding.
+or the same arithmetic, so each pair must agree bit for bit.  The
+exceptions are ``local_cover_serial(..., resolve="scratch")`` and
+``strip_serial``, which re-solve every trial disk from scratch as
+``local_cover`` and ``solve_strip`` once did, and so agree with them up to
+rounding.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
+from diskcover.baselines import STRIP_HEIGHT_FACTOR
 from diskcover.exact import BudgetExceededError, CandidateDisk
 from diskcover.geometry import (
     Disk,
@@ -608,6 +611,49 @@ def kmeans_serial(points: Sequence[Point], r: float, trials: int, seed: int, max
             best = clusters
     centers = [one_center([(q[0], q[1]) for q in xy[m]]).center for m in best]
     return centers, [[int(k) for k in m] for m in best]
+
+
+# --- Serial strip reference ----------------------------------------------
+
+
+def strip_serial(inst: Instance) -> tuple[list[Point], list[list[int]]]:
+    """The strip loop that re-solves each trial disk from scratch, as
+    ``solve_strip`` once did: (centers, newly_covered).
+
+    Same strips, sweep order and stopping rule as
+    :func:`diskcover.baselines.solve_strip`, but every trial calls
+    ``one_center`` on the whole group plus the new point, so its disks agree
+    with the grown ones up to rounding.
+    """
+    r = inst.radius
+    pts = inst.points
+    h = STRIP_HEIGHT_FACTOR * r
+    min_y = min(p[1] for p in pts)
+    strips: dict[int, list[int]] = {}
+    for k, p in enumerate(pts):
+        s = int(math.floor((p[1] / 2.0 - min_y / 2.0) / (h / 2.0) + 0.5))
+        strips.setdefault(s, []).append(k)
+
+    centers: list[Point] = []
+    newly_all: list[list[int]] = []
+    for s in sorted(strips):
+        remaining = sorted(strips[s], key=lambda k: (pts[k][0], pts[k][1], k))
+        while remaining:
+            group = [remaining[0]]
+            mec = one_center([pts[remaining[0]]])
+            for k in remaining[1:]:
+                trial = one_center([pts[g] for g in group] + [pts[k]])
+                if not within_radius(r, trial.radius):
+                    break
+                group.append(k)
+                mec = trial
+            disk = Disk(mec.center, r)
+            newly = [k for k in remaining if covers(disk, pts[k])]
+            centers.append(mec.center)
+            newly_all.append(newly)
+            taken = set(newly)
+            remaining = [k for k in remaining if k not in taken]
+    return centers, newly_all
 
 
 # --- Serial hull and spiral references -----------------------------------

@@ -85,6 +85,17 @@ K80_SPIRAL_COUNTS = {
     10: [18, 22, 18, 19, 21, 23, 22, 20, 21, 21, 20, 20, 19, 19, 20, 21, 20, 18, 21, 21],
 }
 
+# Per-topology strip disk counts on the same criterion-2 topologies, recorded
+# from the strip loop that re-solves every trial disk from scratch.  Any
+# rewrite of the strip must reproduce them exactly.
+K80_STRIP_COUNTS = {
+    2: [2, 2, 3, 3, 3, 3, 3, 2, 3, 2, 3, 3, 2, 3, 2, 2, 2, 2, 2, 3],
+    4: [7, 7, 6, 7, 8, 8, 7, 7, 7, 7, 8, 8, 7, 7, 7, 7, 7, 7, 8, 7],
+    6: [12, 13, 13, 12, 13, 13, 14, 13, 13, 13, 13, 11, 12, 11, 12, 13, 12, 12, 12, 12],
+    8: [17, 17, 17, 20, 21, 21, 20, 19, 19, 19, 19, 23, 20, 19, 19, 20, 22, 18, 20, 21],
+    10: [27, 28, 24, 26, 26, 29, 28, 22, 28, 23, 26, 26, 25, 27, 27, 26, 26, 23, 25, 26],
+}
+
 # Per-topology spiral disk counts on the criterion-3 topologies (K400_BASE + t,
 # t = 0..9), recorded from the serial spiral loop.
 K400_SPIRAL_COUNTS = {
@@ -172,6 +183,12 @@ def test_criterion_2_spiral_counts_frozen(k80_counts):
     for ratio, ms in K80_SPIRAL_COUNTS.items():
         assert k80_counts[("spiral", ratio)] == ms, f"D/r={ratio}"
     print("CRITERION 2: PASS (spiral per-topology counts equal the frozen values)")
+
+
+def test_criterion_2_strip_counts_frozen(k80_counts):
+    for ratio, ms in K80_STRIP_COUNTS.items():
+        assert k80_counts[("strip", ratio)] == ms, f"D/r={ratio}"
+    print("CRITERION 2: PASS (strip per-topology counts equal the frozen values)")
 
 
 def test_criterion_3_k400_spiral_row_and_runtime():

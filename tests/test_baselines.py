@@ -21,11 +21,12 @@ from diskcover import (
 )
 from diskcover import baselines, bench
 from diskcover.exact import DEFAULT_NODE_LIMIT
-from diskcover.geometry import within_radius
+from diskcover.geometry import dist, within_radius
 from diskcover.bench import Campaign, generate_topology, run_campaign
 
 from conftest import HYPOT_SPLIT_PAIR, grid_point_lists, instances
-from oracles import _kmeanspp_init, kmeans_serial
+from oracles import _kmeanspp_init, kmeans_serial, strip_serial
+from test_acceptance import K80_BASE, K80_STRIP_COUNTS, K400_BASE, K400_SPIRAL_COUNTS
 
 H = baselines.STRIP_HEIGHT_FACTOR
 
@@ -104,6 +105,35 @@ class TestStrip:
     @settings(max_examples=40)
     def test_feasible(self, inst):
         assert not solution_violations(inst, solve_strip(inst))
+
+
+def assert_close_to_from_scratch(inst):
+    # The same disks and coverage as when each trial disk is re-solved from
+    # scratch; the centers may differ in their last bits.
+    sol = solve_strip(inst)
+    centers, newly = strip_serial(inst)
+    assert sol.m == len(centers)
+    assert sol.newly_covered == newly
+    for got, ref in zip(sol.centers, centers):
+        assert dist(got, ref) <= 1e-12 * inst.radius
+
+
+class TestStripCloseToFromScratch:
+    """Growing the group's disk one point at a time places as many disks,
+    covering the same points, as re-solving it from scratch for every point
+    the sweep tries."""
+
+    @pytest.mark.parametrize("ratio", list(K80_STRIP_COUNTS))
+    def test_criterion_2_topologies(self, ratio):
+        for t in range(len(K80_STRIP_COUNTS[ratio])):
+            inst = generate_topology(80, 1.0, K80_BASE + t, radius=1.0 / ratio)
+            assert_close_to_from_scratch(inst)
+
+    @pytest.mark.parametrize("ratio", list(K400_SPIRAL_COUNTS))
+    def test_criterion_3_topologies(self, ratio):
+        for t in range(len(K400_SPIRAL_COUNTS[ratio])):
+            inst = generate_topology(400, 1.0, K400_BASE + t, radius=1.0 / ratio)
+            assert_close_to_from_scratch(inst)
 
 
 class TestKmeans:

@@ -263,8 +263,10 @@ class TestScaleInvariance:
     def test_counts_equal_the_unscaled_counts(self, scale):
         assert self.changed_counts(scale, ALGORITHMS) == []
 
-    # The spiral, strip and k-means enclose points with one_center, whose
-    # disk is wrong at these scales (test_geometry pins it).
+    # k-means and the spiral solve disks with one_center, and the spiral and
+    # the strip grow them with grow_disk.  Both run on the kernel
+    # _mec_two_known, whose disk is wrong at these scales (test_geometry
+    # pins it).
     @pytest.mark.parametrize("scale", [1e-300, 1e-160, 1e160, 1e300])
     def test_oracle_and_random_counts_hold_at_the_float_extremes(self, scale):
         assert self.changed_counts(scale, ("oracle", "random")) == []

@@ -409,15 +409,18 @@ class TestGrowDisk:
     @settings(max_examples=200)
     def test_grown_from_one_point_matches_one_center(self, pts, scale):
         pts = [(x * scale, y * scale) for x, y in pts]
-        disk = Disk(pts[0], 0.0)
-        xs, ys = [pts[0][0]], [pts[0][1]]
-        for n, (x, y) in enumerate(pts[1:], start=2):
-            xs.append(x)
-            ys.append(y)
-            disk = grow_disk(disk, xs, ys)
-            for p in pts[:n]:
-                assert dist(disk.center, p) <= disk.radius
-            assert disk.radius == pytest.approx(one_center(pts[:n]).radius, rel=1e-12)
+        # As drawn, and sorted by (x, y) as the strip sweeps them: a
+        # left-to-right order is the worst case for Welzl's step.
+        for order in (pts, sorted(pts)):
+            disk = Disk(order[0], 0.0)
+            xs, ys = [order[0][0]], [order[0][1]]
+            for n, (x, y) in enumerate(order[1:], start=2):
+                xs.append(x)
+                ys.append(y)
+                disk = grow_disk(disk, xs, ys)
+                for p in order[:n]:
+                    assert dist(disk.center, p) <= disk.radius
+                assert disk.radius == pytest.approx(one_center(order[:n]).radius, rel=1e-12)
 
     @given(disk_cases())
     @settings(max_examples=150)
