@@ -63,6 +63,7 @@ def solve_strip(inst: Instance, seed: int = 0) -> Solution:
     t0 = time.perf_counter()
 
     h = STRIP_HEIGHT_FACTOR * r
+    bound = coverage_bound(r)
     min_y = min(p[1] for p in pts)
     strips: dict[int, list[int]] = {}
     for k, p in enumerate(pts):
@@ -89,11 +90,21 @@ def solve_strip(inst: Instance, seed: int = 0) -> Solution:
                     break
                 mec = trial
             disk = Disk(mec.center, r)
-            newly = [k for k in remaining if covers(disk, pts[k])]
+            # remaining ascends in x, and a point whose x exceeds the
+            # center's by more than the bound fails covers, as does every
+            # later one: hypot is at least |dx|.
+            cx = mec.center[0]
+            stop = len(remaining)
+            for i, k in enumerate(remaining):
+                if pts[k][0] - cx > bound:
+                    stop = i
+                    break
+            window = remaining[:stop]
+            newly = [k for k in window if covers(disk, pts[k])]
             centers.append(mec.center)
             newly_all.append(newly)
             taken = set(newly)
-            remaining = [k for k in remaining if k not in taken]
+            remaining = [k for k in window if k not in taken] + remaining[stop:]
 
     return Solution(
         algorithm="strip",

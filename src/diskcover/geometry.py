@@ -135,20 +135,28 @@ def convex_hull(points: Union[Sequence[Point], np.ndarray]) -> list[int]:
     single distinct point yields [index].
 
     Andrew's monotone chain over every input point, with exact orientation
-    signs.  A caller that can rule out interior points cheaply passes only the
-    rest: the spiral passes the points outside a chord of a polygon of them.
+    signs, after a stable Python sort on (x, y): each run of equal points
+    starts with its lowest index, which stands for the run (``-0.0`` equals
+    ``0.0``).  A sequence is sorted as it is, with no array built, since the
+    spiral hands over short pockets.  A caller that can rule out interior
+    points cheaply passes only the rest: the spiral passes the points outside
+    a chord of a polygon of them.
     """
-    xy = np.asarray(points, dtype=float)
-    if len(xy) == 0:
+    if isinstance(points, np.ndarray):
+        points = points.tolist()
+    if len(points) == 0:
         raise ValueError("convex_hull: empty point list")
-    # Sorted by x, then y; lexsort is stable, so each run of equal points
-    # starts with its lowest index, which stands for the run.
-    order = np.lexsort((xy[:, 1], xy[:, 0]))
-    sx, sy = xy[order, 0], xy[order, 1]
-    first = np.ones(len(order), dtype=bool)
-    first[1:] = (sx[1:] != sx[:-1]) | (sy[1:] != sy[:-1])
-    ids = order[first].tolist()
-    xs, ys = sx[first].tolist(), sy[first].tolist()
+    ids: list[int] = []
+    xs: list[float] = []
+    ys: list[float] = []
+    last = None
+    for i in sorted(range(len(points)), key=points.__getitem__):
+        p = points[i]
+        if p != last:
+            ids.append(i)
+            xs.append(float(p[0]))
+            ys.append(float(p[1]))
+            last = p
     n = len(ids)
     if n == 1:
         return ids

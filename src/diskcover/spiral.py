@@ -7,6 +7,7 @@ process walks the shrinking perimeter counterclockwise until nothing is left.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from math import hypot
@@ -21,7 +22,6 @@ from .geometry import (
     dist,
     grow_disk,
     one_center,
-    within_mask,
 )
 from .problem import Instance, Solution
 
@@ -215,31 +215,146 @@ def _hull_input(uncovered: np.ndarray, sub: np.ndarray, margin: float) -> np.nda
     return uncovered[~inside]
 
 
+def _cell(v: float, lo: float, side: float, n: int) -> int:
+    """The column (or row) of the cell that holds coordinate ``v``: the floor
+    of ``(v / 2 - lo) / side``, clamped to ``0 .. n - 1``.
+
+    ``lo`` and ``side`` are halved, as ``v`` is here, so that no difference
+    of coordinates overflows.  Every point and every box corner goes through
+    this one expression, which is monotone in ``v``, so a point at or beyond
+    a corner falls in the corner's cell or beyond it.  (Python's float ``//``
+    floors the exact quotient, not this rounded one, and mixing the two
+    loses points at cell edges.)  A corner past the largest float is clamped.
+    """
+    q = (v / 2.0 - lo) / side
+    if not q > 0.0:
+        return 0
+    return n - 1 if q >= n else int(q)
+
+
+class _Cells:
+    """The point indices bucketed once per solve into square cells.
+
+    Each cell is a Python list of the uncovered indices in it, ascending,
+    and the cells are stored row-major in ``lists``.  ``alive`` marks the
+    uncovered points; :meth:`cover` clears them and rebuilds the cells that
+    held them.  The side is at least ``reach`` and at least the extent over
+    ``ceil(sqrt(K))``, so there are never more than about K cells; it and
+    the lower corner are halved.  ``xs`` and ``ys`` are the coordinates, and
+    each cell keeps the bounding box of the points it was given.
+    """
+
+    def __init__(self, xs: list[float], ys: list[float], reach: float):
+        self.xs, self.ys = xs, ys
+        self.lo_x, self.lo_y = min(xs) / 2.0, min(ys) / 2.0
+        span_x, span_y = max(xs) / 2.0 - self.lo_x, max(ys) / 2.0 - self.lo_y
+        self.side = max(reach / 2.0, max(span_x, span_y) / math.ceil(math.sqrt(len(xs))))
+        self.n_cols = int(span_x / self.side) + 1
+        self.n_rows = int(span_y / self.side) + 1
+        self.alive = bytearray(b"\x01") * len(xs)
+        self.lists: list[list[int]] = [[] for _ in range(self.n_cols * self.n_rows)]
+        # The cell of each point.
+        self.home = [self.column(x) * self.n_rows + self.row(y) for x, y in zip(xs, ys)]
+        for k, c in enumerate(self.home):
+            self.lists[c].append(k)
+        self.bounds = [
+            (
+                min([xs[k] for k in held]),
+                min([ys[k] for k in held]),
+                max([xs[k] for k in held]),
+                max([ys[k] for k in held]),
+            )
+            if held
+            else None
+            for held in self.lists
+        ]
+
+    def column(self, x: float) -> int:
+        return _cell(x, self.lo_x, self.side, self.n_cols)
+
+    def row(self, y: float) -> int:
+        return _cell(y, self.lo_y, self.side, self.n_rows)
+
+    def cover(self, points: list[int]) -> None:
+        """Mark ``points`` covered and drop them from their cells."""
+        alive, lists = self.alive, self.lists
+        for k in points:
+            alive[k] = 0
+        for c in {self.home[k] for k in points}:
+            lists[c] = [k for k in lists[c] if alive[k]]
+
+    def _under(self, x0: float, y0: float, x1: float, y1: float) -> Iterator[int]:
+        """The cells that the box ``[x0, x1] x [y0, y1]`` overlaps, which
+        hold every uncovered point inside the box."""
+        rows = self.n_rows
+        j0, j1 = self.row(y0), self.row(y1) + 1
+        for i in range(self.column(x0), self.column(x1) + 1):
+            yield from range(i * rows + j0, i * rows + j1)
+
+    def box(self, x0: float, y0: float, x1: float, y1: float) -> list[int]:
+        """The uncovered points of the cells under the box."""
+        lists = self.lists
+        out: list[int] = []
+        for c in self._under(x0, y0, x1, y1):
+            out += lists[c]
+        return out
+
+    def outside(
+        self, x0: float, y0: float, x1: float, y1: float, nx: float, ny: float, lim: float
+    ) -> list[int]:
+        """Ascending, the uncovered points p of the cells under the box for
+        which ``nx * p.x + ny * p.y > lim`` fails.
+
+        A cell is passed over whole when that test holds at the corner of
+        its bounding box that minimises ``nx * x + ny * y``: then every
+        point of it lies above ``lim`` less the test's rounding, exactly.
+        """
+        xs, ys, lists, bounds = self.xs, self.ys, self.lists, self.bounds
+        out: list[int] = []
+        for c in self._under(x0, y0, x1, y1):
+            held = lists[c]
+            if held:
+                bx0, by0, bx1, by1 = bounds[c]
+                if not nx * (bx0 if nx > 0.0 else bx1) + ny * (by0 if ny > 0.0 else by1) > lim:
+                    out += [k for k in held if not nx * xs[k] + ny * ys[k] > lim]
+        out.sort()
+        return out
+
+
 def _carried_hull(
-    ring: list[int], alive: np.ndarray, uncovered: np.ndarray, sub: np.ndarray, margin: float
+    ring: list[int], pts: Sequence[Point], cells: _Cells, margin: float
 ) -> Optional[list[int]]:
     """The hull of the uncovered points, carried over from the previous hull
     ``ring``, or None when fewer than three of its vertices are uncovered.
 
-    ``sub`` holds the coordinates of ``uncovered``, and ``alive`` marks the
-    points still uncovered.  The uncovered set only loses points, so each
-    surviving vertex of ``ring`` is still a vertex, listed in place.  Each
-    chord a -> b between survivors that had vertices between them gets a new
-    arc: the part from a to b of :func:`convex_hull` over its pocket, the
-    uncovered points not inside the chord by more than ``margin`` (a and b
-    among them, on the chord).  This is exact:
+    The uncovered set only loses points, so each surviving vertex of
+    ``ring`` is still a vertex, listed in place.  Each chord a -> b between
+    survivors that had vertices between them gets a new arc: the part from
+    a to b of :func:`convex_hull` over its pocket.  The pocket is read from
+    ``cells`` alone (:meth:`_Cells.outside`): the uncovered points of the
+    cells that overlap the bounding box of a, b and the vertices the chord
+    replaced, less those inside the chord by more than ``margin`` and less
+    the cells wholly inside it (a and b stay, on the chord), in ascending
+    index order.  This is exact:
 
     * a new vertex lies beyond exactly one chord, because the wedge beyond a
       survivor lies outside the previous hull, which holds every uncovered
       point;
-    * the hull's vertices beyond chord a -> b are those of the chain over its
-      pocket: the pocket holds every uncovered point beyond the chord, the
-      margin covering the rounding of the chord test, and the chain decides
-      every turn exactly.  Its arc from a to b lists just those vertices;
-      the points it keeps on or inside the chord lie off that arc;
-    * the chord test decides by coordinates, so a point enters with all its
-      duplicates.  A survivor is the lowest index of its coordinate, and so
-      is each new vertex.
+    * every uncovered point beyond the chord, or on it, lies in the polygon
+      of a, the replaced vertices and b, and so in its bounding box; the
+      margin covers the rounding of the chord test, which runs in Python
+      floats as ``normal . p > normal . a + margin``, and of the same test
+      at a corner of a cell's bounding box;
+    * the points left out that a test over every uncovered point would keep
+      (outside the box, or in a cell passed over) are inside the chord: the
+      chord's line meets the previous hull in the segment a b alone, so they
+      cannot change the part of the pocket's hull beyond it.  Its vertices
+      beyond the chord are the hull's, since the chain decides every turn
+      exactly, and its arc from a to b lists just those; the points it keeps
+      on or inside the chord lie off that arc;
+    * the chord test decides by coordinates, and a cell by coordinates, so
+      a point enters with all its duplicates.  A survivor is the lowest
+      index of its coordinate, and so is each new vertex.
 
     The ring keeps its first vertex, the bottom-most (then left-most), if
     that survives, and otherwise starts at its new one, as
@@ -247,31 +362,35 @@ def _carried_hull(
     a vertex of ``ring`` and its disk covers it, so three or more survivors
     leave at least one chord.
     """
+    alive = cells.alive
     pos = [i for i, k in enumerate(ring) if alive[k]]
     if len(pos) < 3:
         return None
-    # Positions in ``uncovered``: of the survivors, then of the whole ring.
-    out = np.searchsorted(uncovered, [ring[i] for i in pos]).tolist()
-    # Survivor e and the next one bound a chord when the ring had vertices
-    # between them.
-    chords = [
-        e for e, (i, j) in enumerate(zip(pos, pos[1:] + pos[:1])) if (j - i) % len(ring) != 1
-    ]
-    a = [out[e] for e in chords]
-    b = [out[(e + 1) % len(out)] for e in chords]
-    inside = _inside_chords(sub, sub[a], sub[b], margin)
+    out = [ring[i] for i in pos]
     # Splice from the last chord back, so that the earlier ones stay put.
-    for c in reversed(range(len(chords))):
-        pocket = np.flatnonzero(~inside[c])
-        hull = pocket[convex_hull(sub[pocket])].tolist()
-        i = hull.index(a[c])
-        arc = hull[i + 1 :] + hull[:i]
-        e = chords[c] + 1
-        out[e:e] = arc[: arc.index(b[c])]
+    for e in reversed(range(len(pos))):
+        i, j = pos[e], pos[(e + 1) % len(pos)]
+        if (j - i) % len(ring) == 1:
+            continue
+        # Survivor e and the next one bound a chord: the ring had vertices
+        # between them.
+        span = ring[i : j + 1] if i < j else ring[i:] + ring[: j + 1]
+        a, b = ring[i], ring[j]
+        (ax, ay), (bx, by) = pts[a], pts[b]
+        gx = [pts[k][0] for k in span]
+        gy = [pts[k][1] for k in span]
+        # The chord's left normal; inside means normal . p > normal . a + margin.
+        nx, ny = ay - by, bx - ax
+        lim = nx * ax + ny * ay + margin
+        pocket = cells.outside(min(gx), min(gy), max(gx), max(gy), nx, ny, lim)
+        hull = [pocket[h] for h in convex_hull([pts[k] for k in pocket])]
+        at = hull.index(a)
+        arc = hull[at + 1 :] + hull[:at]
+        out[e + 1 : e + 1] = arc[: arc.index(b)]
     if pos[0]:
-        start = int(np.lexsort(sub[out].T)[0])
+        start = min(range(len(out)), key=lambda t: (pts[out[t]][1], pts[out[t]][0]))
         out = out[start:] + out[:start]
-    return uncovered[out].tolist()
+    return out
 
 
 def spiral_steps(
@@ -292,6 +411,22 @@ def spiral_steps(
     hull, and any hull after a disk left fewer than three vertices, is
     chained over the points outside the chords of the extremes' polygon
     (:func:`_hull_input`).
+
+    Apart from those hulls, a step reads only the cells (:class:`_Cells`)
+    near its anchor and its chords.  One scan takes the uncovered points
+    within ``reach``, twice the coverage bound widened by ``1e-12``, of the
+    anchor k0, decided by ``math.hypot`` as :func:`dist` decides it.  The
+    interior points handed to the second ``local_cover`` and the points the
+    placed disk covers both come from it:
+
+    * the widening changes nothing: ``local_cover`` drops every candidate
+      farther than twice the coverage bound from k0, a committed point,
+      before it looks at any, and keeps the order of the rest;
+    * every point the disk covers is in the scan: the disk's center is
+      within the coverage bound of k0, since :func:`grow_disk` returns the
+      exact largest distance to the points it holds, so such a point is
+      within twice the bound of k0 up to a few units in the last place,
+      far inside the widening.
     """
     r = inst.radius
     pts = inst.points
@@ -299,19 +434,21 @@ def spiral_steps(
     rng = np.random.Generator(np.random.PCG64(seed))
 
     bound = coverage_bound(r)
-    alive = np.ones(inst.k, dtype=bool)
-    uncovered = np.arange(inst.k)
+    reach = 2.0 * bound * (1.0 + 1e-12)
+    cells = _Cells([p[0] for p in pts], [p[1] for p in pts], reach)
+    xs, ys, alive = cells.xs, cells.ys, cells.alive
+    left = inst.k
     carried: Optional[int] = None
     # The whole instance's margin is at least that of any subset, so both
     # chord tests err towards keeping.
     margin = _HULL_MARGIN * float(np.abs(xy).max()) * float(np.ptp(xy, axis=0).max())
     boundary: list[int] = []
 
-    while uncovered.size:
-        sub = xy[uncovered]
-        ring = _carried_hull(boundary, alive, uncovered, sub, margin)
+    while left:
+        ring = _carried_hull(boundary, pts, cells, margin)
         if ring is None:
-            cand = _hull_input(uncovered, sub, margin)
+            uncovered = np.flatnonzero(np.frombuffer(alive, dtype=bool))
+            cand = _hull_input(uncovered, xy[uncovered], margin)
             ring = cand[convex_hull(xy[cand])].tolist()
         boundary = ring
         bset = set(boundary)
@@ -324,18 +461,24 @@ def spiral_steps(
             k0 = boundary[int(rng.integers(len(boundary)))]
 
         first = local_cover(pts[k0], [k0], [k for k in boundary if k != k0], inst)
-        # local_cover drops every candidate farther than 2 * bound from the
-        # anchor, so only those within it are handed over.
-        near = uncovered[within_mask(sub, pts[k0], 2.0 * bound)]
-        inner = [k for k in near.tolist() if k not in bset]
+        ax, ay = pts[k0]
+        near = sorted(
+            [
+                k
+                for k in cells.box(ax - reach, ay - reach, ax + reach, ay + reach)
+                if hypot(ax - xs[k], ay - ys[k]) <= reach
+            ]
+        )
+        inner = [k for k in near if k not in bset]
         second = local_cover(first.center, first.covered, inner, inst)
         center = second.center
 
-        newly = uncovered[within_mask(sub, center, bound)].tolist()
+        cx, cy = center
+        newly = [k for k in near if hypot(cx - xs[k], cy - ys[k]) <= bound]
         if not newly:
             raise RuntimeError("spiral placed a disk that covers no uncovered point")
-        alive[newly] = False
-        uncovered = uncovered[alive[uncovered]]
+        cells.cover(newly)
+        left -= len(newly)
 
         # The next anchor: the first hull point after k0, counterclockwise,
         # that this disk left uncovered.

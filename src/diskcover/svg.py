@@ -19,9 +19,16 @@ _PALETTE = (
 
 _CANVAS = 720.0
 
-
-def _fmt(x: float) -> str:
-    return f"{x:.2f}"
+# One template per element, every number formatted as "%.2f".
+_CIRCLE = (
+    '<circle cx="%.2f" cy="%.2f" r="%.2f" '
+    'fill="none" stroke="%s" stroke-width="1.2" stroke-dasharray="6 4"/>'
+)
+_TRIANGLE = '<polygon points="%.2f,%.2f %.2f,%.2f %.2f,%.2f" fill="%s"/>'
+_SQUARE = (
+    '<rect x="%.2f" y="%.2f" width="%.2f" height="%.2f" '
+    'fill="%s" stroke="#222222" stroke-width="0.8"/>'
+)
 
 
 def render_svg(inst: Instance, sol: Solution) -> str:
@@ -46,11 +53,9 @@ def render_svg(inst: Instance, sol: Solution) -> str:
     width = (max_x - min_x + 2.0 * margin) * scale
     height = (max_y - min_y + 2.0 * margin) * scale
 
-    def sx(x: float) -> float:
-        return (x - min_x + margin) * scale
-
-    def sy(y: float) -> float:
-        return (max_y - y + margin) * scale  # flip: SVG y grows downward
+    # Canvas coordinates; SVG's y grows downward.
+    spots = [((c[0] - min_x + margin) * scale, (max_y - c[1] + margin) * scale) for c in centers]
+    colors = [_PALETTE[m % len(_PALETTE)] for m in range(len(centers))]
 
     color_of_point: dict[int, str] = {}
     for m, group in enumerate(sol.newly_covered):
@@ -59,9 +64,8 @@ def render_svg(inst: Instance, sol: Solution) -> str:
 
     out: list[str] = []
     out.append(
-        f'<svg xmlns="http://www.w3.org/2000/svg" '
-        f'viewBox="0 0 {_fmt(width)} {_fmt(height)}" '
-        f'width="{_fmt(width)}" height="{_fmt(height)}">'
+        '<svg xmlns="http://www.w3.org/2000/svg" '
+        'viewBox="0 0 %.2f %.2f" width="%.2f" height="%.2f">' % (width, height, width, height)
     )
     out.append(
         '<defs><marker id="arrow" viewBox="0 0 10 10" refX="9" refY="5" '
@@ -69,36 +73,25 @@ def render_svg(inst: Instance, sol: Solution) -> str:
         '<path d="M 0 1 L 9 5 L 0 9 z" fill="#c0392b"/></marker></defs>'
     )
 
-    for m, c in enumerate(centers):
-        color = _PALETTE[m % len(_PALETTE)]
-        out.append(
-            f'<circle cx="{_fmt(sx(c[0]))}" cy="{_fmt(sy(c[1]))}" r="{_fmt(r * scale)}" '
-            f'fill="none" stroke="{color}" stroke-width="1.2" stroke-dasharray="6 4"/>'
-        )
+    rs = r * scale
+    out += [_CIRCLE % (x, y, rs, color) for (x, y), color in zip(spots, colors)]
 
     t = max(3.0, 0.009 * _CANVAS)
+    dx, dy = 0.866 * t, 0.5 * t
     for k, p in enumerate(pts):
+        x, y = (p[0] - min_x + margin) * scale, (max_y - p[1] + margin) * scale
         color = color_of_point.get(k, "#555555")
-        x, y = sx(p[0]), sy(p[1])
-        out.append(
-            f'<polygon points="{_fmt(x)},{_fmt(y - t)} {_fmt(x - 0.866 * t)},{_fmt(y + 0.5 * t)} '
-            f'{_fmt(x + 0.866 * t)},{_fmt(y + 0.5 * t)}" fill="{color}"/>'
-        )
+        out.append(_TRIANGLE % (x, y - t, x - dx, y + dy, x + dx, y + dy, color))
 
     if len(centers) >= 2:
-        path = " ".join(f"{_fmt(sx(c[0]))},{_fmt(sy(c[1]))}" for c in centers)
+        path = " ".join(["%.2f,%.2f" % spot for spot in spots])
         out.append(
             f'<polyline points="{path}" fill="none" stroke="#c0392b" stroke-width="1.6" '
             'stroke-dasharray="10 4 2 4" marker-mid="url(#arrow)" marker-end="url(#arrow)"/>'
         )
 
-    for m, c in enumerate(centers):
-        color = _PALETTE[m % len(_PALETTE)]
-        x, y = sx(c[0]), sy(c[1])
-        out.append(
-            f'<rect x="{_fmt(x - t)}" y="{_fmt(y - t)}" width="{_fmt(2 * t)}" height="{_fmt(2 * t)}" '
-            f'fill="{color}" stroke="#222222" stroke-width="0.8"/>'
-        )
+    side = 2 * t
+    out += [_SQUARE % (x - t, y - t, side, side, color) for (x, y), color in zip(spots, colors)]
 
     out.append("</svg>")
     return "\n".join(out) + "\n"

@@ -97,6 +97,18 @@ class TestConvexHull:
         hull = convex_hull([(0.0, 0.0), (1.0, 0.0), (0.0, 0.0), (0.0, 1.0), (1.0, 0.0)])
         assert set(hull) == {0, 1, 3}
 
+    def test_list_and_array_input_agree_on_duplicates_and_negative_zero(self):
+        # -0.0 equals 0.0, so (-0.0, 0.0) and (0.0, -0.0) are copies of the
+        # corner (0.0, 0.0) at index 1, which stands for them.
+        pts = [(0.5, 0.5), (0.0, 0.0), (1.0, 0.0), (-0.0, 0.0), (0.0, -0.0), (1.0, 1.0)]
+        pts += [(0.0, 1.0), (-0.0, 1.0), (1.0, 0.0), (0.5, -0.0)]
+        want = convex_hull_serial(pts)
+        assert want == [1, 2, 5, 6]
+        assert convex_hull(pts) == convex_hull(np.array(pts)) == want
+        assert convex_hull([list(p) for p in pts]) == want
+        back = pts[::-1]
+        assert convex_hull(back) == convex_hull(np.array(back)) == convex_hull_serial(back)
+
     def test_nearly_collinear_triple_listed_once(self):
         # Three points on the line y = 0.7x up to rounding.  A float
         # orientation sign kept the middle one in both halves of the chain,

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -575,6 +577,102 @@ class TestCarriedHull:
         steps = assert_same_as_serial(inst)
         assert steps[0].newly == [0]
         assert steps[1].boundary == [5, 2, 3, 4, 1]
+
+
+def cell_side(r):
+    """The side of the spiral's cells where no cap applies, unhalved."""
+    return 2.0 * coverage_bound(r) * (1.0 + 1e-12)
+
+
+def halved_side(inst):
+    """The halved side of the cells the spiral builds for the instance."""
+    pts = inst.points
+    return spiral._Cells([p[0] for p in pts], [p[1] for p in pts], cell_side(inst.radius)).side
+
+
+class TestCellEdges:
+    """The spiral reads only the cells near its anchor and its chords; on
+    points at, or an ulp from, the cells' edges it places the same disks as
+    the loop over every uncovered point."""
+
+    @pytest.mark.parametrize("offset", [0.0, 1e6])
+    @pytest.mark.parametrize("deterministic_start", [True, False])
+    def test_lattice_of_spacing_exactly_2_bounds(self, offset, deterministic_start):
+        # Neighbours exactly twice the coverage bound apart, the lowest one
+        # on a cell's lower edge; the cells are wider by 1e-12, so every
+        # later point sits just below an edge.
+        r = 0.5
+        step = 2.0 * coverage_bound(r)
+        pts = [(offset + step * a, offset + step * b) for a in range(10) for b in range(10)]
+        inst = make_inst(pts, r)
+        assert halved_side(inst) == cell_side(r) / 2.0
+        assert_same_as_serial(inst, seed=3, deterministic_start=deterministic_start)
+
+    @pytest.mark.parametrize("deterministic_start", [True, False])
+    def test_points_on_and_next_to_cell_edges(self, deterministic_start):
+        r = 1.0
+        side = cell_side(r)
+        edges = [side * i for i in range(8)]
+        # The halved coordinate over the halved side is exactly each edge's
+        # number, so the points lie on the edges as the cells compute them.
+        assert [spiral._cell(x, 0.0, side / 2.0, 8) for x in edges] == list(range(8))
+        nudged = [(e, math.nextafter(e, -1.0), math.nextafter(e, 9e9)) for e in edges]
+        coords = sorted({v for vs in nudged for v in vs})
+        coords = [v for v in coords if v >= 0.0]
+        rng = np.random.Generator(np.random.PCG64(8))
+        pts = [(float(rng.choice(coords)), float(rng.choice(coords))) for _ in range(150)]
+        inst = make_inst([(0.0, 0.0), *pts], r)
+        assert halved_side(inst) == side / 2.0
+        assert_same_as_serial(inst, seed=8, deterministic_start=deterministic_start)
+
+    @pytest.mark.parametrize("deterministic_start", [True, False])
+    def test_lattice_on_cell_edges_where_floor_division_differs(self, deterministic_start):
+        # A lattice of spacing exactly the cell side, each point six times
+        # over, so that the cells keep that side.  Its last column lies on
+        # edge 17 as the cells compute it, yet Python's // floors the exact
+        # quotient, which is just below 17: a box corner taken by // and a
+        # point by the rounded quotient would part at that edge.
+        r = 1.0
+        side = cell_side(r)
+        x = side * 17
+        assert spiral._cell(x, 0.0, side / 2.0, 18) == 17
+        assert (x / 2.0) // (side / 2.0) == 16.0
+        pts = [(side * a, side * b) for a in range(18) for b in range(3)]
+        inst = make_inst(pts * 6, r)
+        assert halved_side(inst) == side / 2.0
+        assert_same_as_serial(inst, seed=17, deterministic_start=deterministic_start)
+
+    @pytest.mark.parametrize("deterministic_start", [True, False])
+    def test_cell_cap_at_a_huge_ratio(self, deterministic_start):
+        # D/r = 1e6: cells of side 2r would number about 2.5e11, so the side
+        # is the extent over ceil(sqrt(K)) instead.
+        inst = generate_topology(50, 1.0, 6100, radius=1e-6)
+        assert halved_side(inst) > 1e4 * cell_side(inst.radius)
+        steps = assert_same_as_serial(inst, seed=6100, deterministic_start=deterministic_start)
+        assert len(steps) == 50
+
+    @pytest.mark.parametrize("deterministic_start", [True, False])
+    def test_utm_sized_offsets(self, deterministic_start):
+        # A 10 km square of 300 terminals at UTM coordinates, 500 m disks.
+        base = generate_topology(300, 1.0, 6101, radius=1.0 / 20.0)
+        pts = [(UTM[0] + 1e4 * x, UTM[1] + 1e4 * y) for x, y in base.points]
+        inst = make_inst(pts, 500.0)
+        assert_same_as_serial(inst, seed=6101, deterministic_start=deterministic_start)
+
+    @pytest.mark.parametrize("deterministic_start", [True, False])
+    def test_all_points_duplicate(self, deterministic_start):
+        inst = make_inst([UTM] * 40, 2.0)
+        steps = assert_same_as_serial(inst, seed=5, deterministic_start=deterministic_start)
+        assert [step.newly for step in steps] == [list(range(40))]
+
+    @pytest.mark.parametrize("slope", [0.0, 0.37])
+    @pytest.mark.parametrize("deterministic_start", [True, False])
+    def test_a_straight_road(self, slope, deterministic_start):
+        # Terminals along a 60r road: one row of cells when it runs level.
+        rng = np.random.Generator(np.random.PCG64(12))
+        ts = (60.0 * rng.random(250)).tolist()
+        inst = make_inst([(UTM[0] + t, UTM[1] + slope * t) for t in ts], 1.0)
+        assert_same_as_serial(inst, seed=12, deterministic_start=deterministic_start)
 
 
 def assert_close_to_from_scratch(inst):

@@ -1,6 +1,7 @@
+import hashlib
 import xml.etree.ElementTree as ET
 
-from diskcover import Instance, render_svg, solve_spiral
+from diskcover import Instance, Solution, render_svg, solve_spiral
 from diskcover.bench import generate_topology
 
 
@@ -62,3 +63,25 @@ class TestRenderSvg:
         assert "viewBox" in root.attrib
         w, h = float(root.attrib["width"]), float(root.attrib["height"])
         assert w > 0 and h > 0
+
+
+class TestSvgBytes:
+    """The exact bytes of two renders, recorded before the number formatting
+    moved to one template per element."""
+
+    def test_spiral_at_k400(self):
+        inst = generate_topology(400, 1.0, 6000, radius=1.0 / 20.0)
+        svg = render_svg(inst, solve_spiral(inst, seed=6000))
+        digest = hashlib.sha256(svg.encode()).hexdigest()
+        assert digest == "6d68bda83e098c74ae8cab04ec14fec4102b84b531ca0b67d5986560217fd075"
+
+    def test_fixed_solution_with_a_region(self):
+        inst = Instance(
+            [(-3.25, 0.0), (-0.0, 1e-3), (12.5, -7.125), (12.75, -7.0), (1e3, 2.5)],
+            0.75,
+            region_side=20.0,
+        )
+        centers = [(-3.0, 0.25), (12.6, -7.0), (1e3, 2.0), (0.0, 0.0)]
+        sol = Solution("spiral", 0, centers, [[0], [2, 3], [4], [1]])
+        digest = hashlib.sha256(render_svg(inst, sol).encode()).hexdigest()
+        assert digest == "37f59fa03e29c88e1afcfc9bbff19f6e0731853f54dd033b0ffef48e6831cb45"
