@@ -123,27 +123,23 @@ def _half_hull(xs: list[float], ys: list[float], positions: Iterable[int]) -> li
     return out
 
 
-def convex_hull(points: Union[Sequence[Point], np.ndarray]) -> list[int]:
+def convex_hull(points: Sequence[Point]) -> list[int]:
     """Indices of the strict convex hull in counterclockwise order.
 
-    ``points`` is a sequence of (x, y) pairs or an ``(n, 2)`` float array.
-    Only extreme points are listed: collinear boundary points are dropped.
-    Duplicate coordinates collapse to the lowest index, and no index is
-    listed twice.  For three or more hull vertices the listing starts at the
-    bottom-most (then left-most) vertex; a degenerate input (all points
-    collinear) yields the two extreme indices, lower index first, and a
-    single distinct point yields [index].
+    ``points`` is a sequence of (x, y) pairs.  Only extreme points are
+    listed: collinear boundary points are dropped.  Duplicate coordinates
+    collapse to the lowest index, and no index is listed twice.  For three
+    or more hull vertices the listing starts at the bottom-most (then
+    left-most) vertex; a degenerate input (all points collinear) yields the
+    two extreme indices, lower index first, and a single distinct point
+    yields [index].
 
     Andrew's monotone chain over every input point, with exact orientation
     signs, after a stable Python sort on (x, y): each run of equal points
     starts with its lowest index, which stands for the run (``-0.0`` equals
-    ``0.0``).  A sequence is sorted as it is, with no array built, since the
-    spiral hands over short pockets.  A caller that can rule out interior
-    points cheaply passes only the rest: the spiral passes the points outside
-    a chord of a polygon of them.
+    ``0.0``).  The sequence is sorted as it is, with no array built, since
+    the spiral hands over short pockets.
     """
-    if isinstance(points, np.ndarray):
-        points = points.tolist()
     if len(points) == 0:
         raise ValueError("convex_hull: empty point list")
     ids: list[int] = []

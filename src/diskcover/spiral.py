@@ -25,16 +25,12 @@ from .geometry import (
 )
 from .problem import Instance, Solution
 
-# Both chord tests, the one of _hull_input against the extremes' polygon and
-# the one of _carried_hull against each chord of the previous hull, take a
-# point as inside only by more than _HULL_MARGIN * (largest |coordinate|) *
-# (extent) in cross-product units.  They evaluate each chord untranslated, as
-# normal . p > normal . a, whose rounding grows with the coordinates'
-# magnitude: at offsets such as UTM coordinates a margin of extent**2 alone
-# would let a hull vertex pass as interior.
+# Every chord test (:func:`_chord`) takes a point as inside only by more
+# than _HULL_MARGIN * (largest |coordinate|) * (extent) in cross-product
+# units: its rounding grows with the coordinates' magnitude, and at offsets
+# such as UTM coordinates a margin of extent**2 alone would let a hull
+# vertex pass as interior.
 _HULL_MARGIN = 64.0 * float(np.finfo(float).eps)
-# Swapping an edge's (x, y) and scaling by this gives its left normal (-y, x).
-_LEFT_NORMAL = np.array([-1.0, 1.0])
 # Rows: the directions -y, x - y, x, x + y, y, y - x, -x, -x - y, in
 # counterclockwise order; a projection onto one is x +- y rounded once.
 _EXTREME_DIRECTIONS = np.array(
@@ -178,43 +174,6 @@ def local_cover(
     return LocalCoverResult(center=loc, covered=covered)
 
 
-def _inside_chords(sub: np.ndarray, a: np.ndarray, b: np.ndarray, margin: float) -> np.ndarray:
-    """Row c marks the rows p of ``sub`` inside chord ``a[c] -> b[c]`` by more
-    than ``margin``: (b - a) x (p - a) > margin, evaluated untranslated as
-    normal . p > normal . a + margin."""
-    normal = (b - a)[:, ::-1] * _LEFT_NORMAL
-    return normal @ sub.T > ((normal * a).sum(axis=1) + margin)[:, None]
-
-
-def _hull_input(uncovered: np.ndarray, sub: np.ndarray, margin: float) -> np.ndarray:
-    """Ascending indices of the uncovered points the hull must be given: the
-    extremes along _EXTREME_DIRECTIONS plus the points outside a chord of
-    their polygon.
-
-    ``sub`` holds the coordinates of ``uncovered``.  The extremes, taken in
-    the order of the directions, are the vertices of a closed polygon of
-    uncovered points (Akl & Toussaint, 1978), and every edge is a chord; with
-    fewer than three distinct extremes every point is kept.  This is exact,
-    because :func:`convex_hull` decides every turn exactly: a point inside
-    every edge of the polygon lies inside the convex hull of its vertices,
-    and a point is kept unless it is inside every chord by more than
-    ``margin``, which covers the rounding of the chord test.  Kept points on
-    or near a chord are no vertices, and the exact chain drops them.
-
-    The chord test decides by coordinates, so a point enters with all its
-    duplicates, and each polygon vertex is the lowest index of its
-    coordinate: the lowest index still stands for each run of duplicates.
-    """
-    ext = np.argmax(_EXTREME_DIRECTIONS @ sub.T, axis=1)
-    verts = ext[ext != np.roll(ext, 1)]
-    if len(set(verts.tolist())) < 3:
-        return uncovered
-    a = sub[verts]
-    inside = _inside_chords(sub, a, np.roll(a, -1, axis=0), margin).all(axis=0)
-    inside[verts] = False
-    return uncovered[~inside]
-
-
 def _cell(v: float, lo: float, side: float, n: int) -> int:
     """The column (or row) of the cell that holds coordinate ``v``: the floor
     of ``(v / 2 - lo) / side``, clamped to ``0 .. n - 1``.
@@ -321,6 +280,15 @@ class _Cells:
         return out
 
 
+def _chord(pts: Sequence[Point], a: int, b: int, margin: float) -> tuple[float, float, float]:
+    """The chord a -> b's left normal ``(nx, ny)`` and limit ``lim``: a point
+    p lies inside the chord by more than ``margin`` when ``nx * p.x + ny * p.y
+    > lim``, evaluated untranslated as normal . p > normal . a + margin."""
+    (ax, ay), (bx, by) = pts[a], pts[b]
+    nx, ny = ay - by, bx - ax
+    return nx, ny, nx * ax + ny * ay + margin
+
+
 def _carried_hull(
     ring: list[int], pts: Sequence[Point], cells: _Cells, margin: float
 ) -> Optional[list[int]]:
@@ -342,9 +310,8 @@ def _carried_hull(
       point;
     * every uncovered point beyond the chord, or on it, lies in the polygon
       of a, the replaced vertices and b, and so in its bounding box; the
-      margin covers the rounding of the chord test, which runs in Python
-      floats as ``normal . p > normal . a + margin``, and of the same test
-      at a corner of a cell's bounding box;
+      margin covers the rounding of the chord test (:func:`_chord`), and of
+      the same test at a corner of a cell's bounding box;
     * the points left out that a test over every uncovered point would keep
       (outside the box, or in a cell passed over) are inside the chord: the
       chord's line meets the previous hull in the segment a b alone, so they
@@ -376,13 +343,9 @@ def _carried_hull(
         # between them.
         span = ring[i : j + 1] if i < j else ring[i:] + ring[: j + 1]
         a, b = ring[i], ring[j]
-        (ax, ay), (bx, by) = pts[a], pts[b]
         gx = [pts[k][0] for k in span]
         gy = [pts[k][1] for k in span]
-        # The chord's left normal; inside means normal . p > normal . a + margin.
-        nx, ny = ay - by, bx - ax
-        lim = nx * ax + ny * ay + margin
-        pocket = cells.outside(min(gx), min(gy), max(gx), max(gy), nx, ny, lim)
+        pocket = cells.outside(min(gx), min(gy), max(gx), max(gy), *_chord(pts, a, b, margin))
         hull = [pocket[h] for h in convex_hull([pts[k] for k in pocket])]
         at = hull.index(a)
         arc = hull[at + 1 :] + hull[:at]
@@ -391,6 +354,48 @@ def _carried_hull(
         start = min(range(len(out)), key=lambda t: (pts[out[t]][1], pts[out[t]][0]))
         out = out[start:] + out[:start]
     return out
+
+
+def _first_hull(
+    xy: np.ndarray, pts: Sequence[Point], cells: _Cells, margin: float, slack: float
+) -> list[int]:
+    """The hull of the uncovered points chained afresh, for the first hull
+    and after a disk left fewer than three vertices of the previous one.
+
+    The extremes along _EXTREME_DIRECTIONS (the lowest index among equals,
+    consecutive repeats dropped) are the vertices of a polygon (Akl &
+    Toussaint, 1978).  The chain gets them and, for each edge a -> b, the
+    pocket :meth:`_Cells.outside` reads under the bounding box of a and b
+    widened by ``slack``, by the chord test of :func:`_chord`, all in
+    ascending order; with fewer than three distinct extremes it gets every
+    uncovered point.  As in :func:`_carried_hull`, this is exact when every
+    hull vertex is in a pocket, and it is: a hull vertex that is no extreme
+    lies on or beyond an edge a -> b, on the hull's arc from a to b.  Those
+    are extreme along neighbouring directions, 45 degrees apart, so the arc
+    heads into one quadrant, x and y are monotone along it, and it lies in
+    the box of a and b.  A diagonal extreme is taken on x +- y rounded once,
+    so it may sit off the exact one by that rounding, a few units in the
+    last place of the largest |coordinate|; ``slack`` is at least 64 of
+    them.
+
+    The union is chained once, not arc by arc: an extreme need not be a
+    strict hull vertex (a tie on a collinear edge), and an arc cannot be
+    cut at it.
+    """
+    uncovered = np.flatnonzero(np.frombuffer(cells.alive, dtype=bool))
+    ext = uncovered[np.argmax(_EXTREME_DIRECTIONS @ xy[uncovered].T, axis=1)].tolist()
+    verts = [k for i, k in enumerate(ext) if k != ext[i - 1]]
+    if len(set(verts)) < 3:
+        cand = uncovered.tolist()
+    else:
+        keep = set(verts)
+        for a, b in zip(verts, verts[1:] + verts[:1]):
+            (ax, ay), (bx, by) = pts[a], pts[b]
+            x0, x1 = min(ax, bx) - slack, max(ax, bx) + slack
+            y0, y1 = min(ay, by) - slack, max(ay, by) + slack
+            keep.update(cells.outside(x0, y0, x1, y1, *_chord(pts, a, b, margin)))
+        cand = sorted(keep)
+    return [cand[h] for h in convex_hull([pts[k] for k in cand])]
 
 
 def spiral_steps(
@@ -409,15 +414,16 @@ def spiral_steps(
     three or more of its vertices stay uncovered, only the arc across each
     chord a disk opened is chained again (:func:`_carried_hull`).  The first
     hull, and any hull after a disk left fewer than three vertices, is
-    chained over the points outside the chords of the extremes' polygon
-    (:func:`_hull_input`).
+    chained over the extremes' polygon and the pockets beyond its edges
+    (:func:`_first_hull`).  Both read each pocket from the cells
+    (:class:`_Cells`) under one chord test (:func:`_chord`).
 
-    Apart from those hulls, a step reads only the cells (:class:`_Cells`)
-    near its anchor and its chords.  One scan takes the uncovered points
-    within ``reach``, twice the coverage bound widened by ``1e-12``, of the
-    anchor k0, decided by ``math.hypot`` as :func:`dist` decides it.  The
-    interior points handed to the second ``local_cover`` and the points the
-    placed disk covers both come from it:
+    Apart from finding those extremes, a step reads only the cells near its
+    anchor and its chords.  One scan takes the uncovered points within
+    ``reach``, twice the coverage bound widened by ``1e-12``, of the anchor
+    k0, decided by ``math.hypot`` as :func:`dist` decides it.  The interior
+    points handed to the second ``local_cover`` and the points the placed
+    disk covers both come from it:
 
     * the widening changes nothing: ``local_cover`` drops every candidate
       farther than twice the coverage bound from k0, a committed point,
@@ -439,18 +445,15 @@ def spiral_steps(
     xs, ys, alive = cells.xs, cells.ys, cells.alive
     left = inst.k
     carried: Optional[int] = None
-    # The whole instance's margin is at least that of any subset, so both
-    # chord tests err towards keeping.
-    margin = _HULL_MARGIN * float(np.abs(xy).max()) * float(np.ptp(xy, axis=0).max())
+    # The whole instance's slack and margin are at least those of any subset,
+    # so every chord test errs towards keeping.
+    slack = _HULL_MARGIN * float(np.abs(xy).max())
+    margin = slack * float(np.ptp(xy, axis=0).max())
     boundary: list[int] = []
 
     while left:
         ring = _carried_hull(boundary, pts, cells, margin)
-        if ring is None:
-            uncovered = np.flatnonzero(np.frombuffer(alive, dtype=bool))
-            cand = _hull_input(uncovered, xy[uncovered], margin)
-            ring = cand[convex_hull(xy[cand])].tolist()
-        boundary = ring
+        boundary = _first_hull(xy, pts, cells, margin, slack) if ring is None else ring
         bset = set(boundary)
 
         if carried is not None and carried in bset:

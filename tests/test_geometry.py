@@ -16,7 +16,8 @@ from diskcover.geometry import (
     within_mask,
     within_radius,
 )
-from diskcover.spiral import _HULL_MARGIN, _hull_input
+from diskcover import spiral
+from diskcover.spiral import _HULL_MARGIN, _Cells, _first_hull
 
 from conftest import HYPOT_SPLIT_PAIR, grid_point_lists, offsets, point_lists, scales
 from oracles import brute_force_mec, convex_hull_serial, extreme_indices, one_center_serial
@@ -68,8 +69,6 @@ class TestConvexHull:
     def test_empty_raises(self):
         with pytest.raises(ValueError):
             convex_hull([])
-        with pytest.raises(ValueError):
-            convex_hull(np.empty((0, 2)))
 
     def test_triangle_is_own_hull(self):
         hull = convex_hull([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)])
@@ -97,17 +96,16 @@ class TestConvexHull:
         hull = convex_hull([(0.0, 0.0), (1.0, 0.0), (0.0, 0.0), (0.0, 1.0), (1.0, 0.0)])
         assert set(hull) == {0, 1, 3}
 
-    def test_list_and_array_input_agree_on_duplicates_and_negative_zero(self):
+    def test_tuples_and_lists_agree_on_duplicates_and_negative_zero(self):
         # -0.0 equals 0.0, so (-0.0, 0.0) and (0.0, -0.0) are copies of the
         # corner (0.0, 0.0) at index 1, which stands for them.
         pts = [(0.5, 0.5), (0.0, 0.0), (1.0, 0.0), (-0.0, 0.0), (0.0, -0.0), (1.0, 1.0)]
         pts += [(0.0, 1.0), (-0.0, 1.0), (1.0, 0.0), (0.5, -0.0)]
         want = convex_hull_serial(pts)
         assert want == [1, 2, 5, 6]
-        assert convex_hull(pts) == convex_hull(np.array(pts)) == want
-        assert convex_hull([list(p) for p in pts]) == want
+        assert convex_hull(pts) == convex_hull([list(p) for p in pts]) == want
         back = pts[::-1]
-        assert convex_hull(back) == convex_hull(np.array(back)) == convex_hull_serial(back)
+        assert convex_hull(back) == convex_hull([list(p) for p in back]) == convex_hull_serial(back)
 
     def test_nearly_collinear_triple_listed_once(self):
         # Three points on the line y = 0.7x up to rounding.  A float
@@ -220,18 +218,29 @@ def hull_cases(draw):
     return pts
 
 
-def first_hull_input(xy):
-    """The spiral's first hull input: its chord test against the extremes'
-    polygon, at the margin the spiral takes for the instance."""
-    margin = _HULL_MARGIN * float(np.abs(xy).max()) * float(np.ptp(xy, axis=0).max())
-    return _hull_input(np.arange(len(xy)), xy, margin)
-
-
 def prefiltered_hull(pts):
-    """The hull as the spiral computes it: the chain over its chord test's survivors."""
-    xy = np.array(pts)
-    keep = first_hull_input(xy)
-    return keep[convex_hull(xy[keep])].tolist()
+    """The spiral's first hull of ``pts``: the chain over the extremes and
+    their pockets, read from the finest cells the spiral builds (side the
+    extent over ceil(sqrt(K))), at the slack and margin it takes."""
+    xy = np.array(pts, dtype=float)
+    slack = _HULL_MARGIN * float(np.abs(xy).max())
+    margin = slack * float(np.ptp(xy, axis=0).max())
+    cells = _Cells(xy[:, 0].tolist(), xy[:, 1].tolist(), float(np.finfo(float).tiny))
+    return _first_hull(xy, pts, cells, margin, slack)
+
+
+def first_hull_input(pts, monkeypatch):
+    """The points, in order, that the spiral's first hull of ``pts`` hands
+    to the chain."""
+    handed = []
+
+    def chain(points):
+        handed.extend(points)
+        return convex_hull(points)
+
+    monkeypatch.setattr(spiral, "convex_hull", chain)
+    prefiltered_hull(pts)
+    return handed
 
 
 class TestHullMatchesSerial:
@@ -243,7 +252,6 @@ class TestHullMatchesSerial:
     def test_same_indices_as_serial(self, pts):
         want = convex_hull_serial(pts)
         assert convex_hull(pts) == want
-        assert convex_hull(np.array(pts)) == want
         assert prefiltered_hull(pts) == want
 
     @pytest.mark.parametrize("offset", [0.0, 1e6, 1e9])
@@ -254,18 +262,37 @@ class TestHullMatchesSerial:
         assert convex_hull(pts) == want
         assert prefiltered_hull(pts) == want
 
-    def test_prefilter_drops_the_interior(self):
-        xy = np.array(uniform_points(2000, seed=62))
-        keep = first_hull_input(xy)
+    def test_prefilter_drops_the_interior(self, monkeypatch):
+        pts = uniform_points(2000, seed=62)
+        index = {p: k for k, p in enumerate(pts)}
+        assert len(index) == len(pts)
+        keep = [index[p] for p in first_hull_input(pts, monkeypatch)]
         assert len(keep) < 200
-        assert np.all(np.diff(keep) > 0)  # input order
-        assert set(convex_hull_serial(xy.tolist())) <= set(keep.tolist())
+        assert keep == sorted(set(keep))  # input order, each once
+        assert set(convex_hull_serial(pts)) <= set(keep)
 
-    def test_prefilter_keeps_every_point_of_a_degenerate_set(self):
-        line = np.array([(float(t), 2.0 * t) for t in range(50)])
-        assert first_hull_input(line).tolist() == list(range(50))
-        same = np.ones((7, 2))
-        assert first_hull_input(same).tolist() == list(range(7))
+    def test_prefilter_keeps_every_point_of_a_degenerate_set(self, monkeypatch):
+        line = [(float(t), 2.0 * t) for t in range(50)]
+        assert first_hull_input(line, monkeypatch) == line
+        same = [(1.0, 1.0)] * 7
+        assert first_hull_input(same, monkeypatch) == same
+
+    def test_near_tie_on_a_diagonal_across_a_cell_corner(self):
+        # v sits on a cell corner and a one ulp below it in x and in y.  x
+        # and y both lie a binade below x + y, so the two sums round to the
+        # same float, and a, the lower index, is the polygon's x + y
+        # extreme, although v is the hull vertex.  v then lies just outside
+        # the boxes of both edges at a, c -> a and a -> b, in the next row
+        # and column; only the slack on those boxes brings its cell in.
+        v = (3000081.234567, 3100087.654321)
+        a = (math.nextafter(v[0], 0.0), math.nextafter(v[1], 0.0))
+        c, b = (3000121.234567, 3100046.654321), (3000040.234567, 3100127.654321)
+        pts = [(3000001.234567, 3100007.654321), c, a, v, b]
+        cells = _Cells([p[0] for p in pts], [p[1] for p in pts], float(np.finfo(float).tiny))
+        assert a[0] + a[1] == v[0] + v[1]
+        assert cells.column(a[0]) < cells.column(v[0])
+        assert cells.row(a[1]) < cells.row(v[1])
+        assert prefiltered_hull(pts) == convex_hull_serial(pts) == [0, 1, 3, 4]
 
     def test_duplicates_of_a_vertex_keep_lowest_index(self):
         pts = uniform_points(300, seed=63)

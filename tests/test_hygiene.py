@@ -71,6 +71,56 @@ def test_every_public_name_is_read_by_the_package():
     assert public_names_unread(ROOT / "src" / "diskcover") == []
 
 
+def private_names_unread(package: Path) -> list[str]:
+    """Private module-level names of the package that their own module never
+    reads, as ``module: name``.
+
+    A private name is a module-level function, class or assigned name with
+    a leading underscore and no trailing one.  It counts as read where it is
+    loaded as a bare name in its module outside its own definition, so a
+    recursion does not count.
+    """
+    unread: list[str] = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        defined: dict[str, ast.stmt] = {}
+        for top in tree.body:
+            if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+                names = [top.name]
+            else:
+                targets = getattr(top, "targets", [getattr(top, "target", None)])
+                names = [n.id for t in targets if t for n in ast.walk(t) if isinstance(n, ast.Name)]
+            for name in names:
+                if name.startswith("_") and not name.endswith("_"):
+                    defined[name] = top
+        read = {
+            node.id
+            for top in tree.body
+            for node in ast.walk(top)
+            if isinstance(node, ast.Name)
+            and isinstance(node.ctx, ast.Load)
+            and defined.get(node.id) is not top
+        }
+        unread += [f"{path.name}: {name}" for name in defined if name not in read]
+    return unread
+
+
+def test_every_private_name_is_read_in_its_module():
+    assert private_names_unread(ROOT / "src" / "diskcover") == []
+
+
+def test_flags_a_private_name_its_module_never_reads(tmp_path):
+    (tmp_path / "m.py").write_text(
+        "import numpy as np\n"
+        "_USED = np.array([1.0])\n_LEFT = np.array([-1.0, 1.0])\n_A, _B = 1, 2\n"
+        "__all__ = ['run']\n\n"
+        "def _loop(n):\n    return _loop(n - 1) if n else 0\n\n"
+        "class _Cells:\n    pass\n\n"
+        "def run():\n    return _USED, _A, _Cells()\n"
+    )
+    assert private_names_unread(tmp_path) == ["m.py: _LEFT", "m.py: _B", "m.py: _loop"]
+
+
 def _name_of(node: ast.AST) -> str:
     if isinstance(node, ast.Name):
         return node.id

@@ -197,9 +197,10 @@ class TestSolveSpiralExamples:
 
     @pytest.mark.xfail(
         raises=ContractError,
-        reason="spiral._hull_input's _EXTREME_DIRECTIONS @ sub.T and chord normals "
-        "overflow near the float limit, and local_cover then raises "
-        "'sec set contains repeated indices'",
+        reason="near the float limit the hull's extent (np.ptp), the extremes' "
+        "projections x +- y and the chord normals in spiral._first_hull overflow, "
+        "and so do geometry._half_hull's orientation differences: the chain lists "
+        "[1, 2, 0, 2], and local_cover raises 'sec set contains repeated indices'",
     )
     def test_points_near_the_float_limit(self):
         inst = Instance([(1e308, 1e308), (-1e308, -1e308), (1e308, -1e308)], 1.0)
