@@ -99,12 +99,12 @@ def solve_strip(inst: Instance, seed: int = 0) -> Solution:
                 if pts[k][0] - cx > bound:
                     stop = i
                     break
-            window = remaining[:stop]
-            newly = [k for k in window if covers(disk, pts[k])]
+            newly, kept = [], []
+            for k in remaining[:stop]:
+                (newly if covers(disk, pts[k]) else kept).append(k)
             centers.append(mec.center)
             newly_all.append(newly)
-            taken = set(newly)
-            remaining = [k for k in window if k not in taken] + remaining[stop:]
+            remaining = kept + remaining[stop:]
 
     return Solution(
         algorithm="strip",
@@ -525,7 +525,7 @@ def solve_random(inst: Instance, seed: int = 0, cfg: Optional[TrialConfig] = Non
             near = reach[pick]
             taken = near[alive[near]]
             centers.append(center)
-            newly_all.append([int(i) for i in taken])
+            newly_all.append(taken.tolist())
             alive[taken] = False
         if best_centers is None or len(centers) < len(best_centers):
             best_centers = centers

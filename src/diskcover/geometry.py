@@ -98,7 +98,8 @@ def _half_hull(xs: list[float], ys: list[float], positions: Iterable[int]) -> li
     """One half of Andrew's monotone chain over the points at ``positions``:
     pop the last point while o -> a -> p fails to turn left, that is while
     (a - o) x (p - o) <= 0, by its exact sign (a wrong sign on nearly
-    collinear points can keep one point in both halves of the chain)."""
+    collinear points can keep one point in both halves of the chain).  A
+    determinant made NaN by overflowed differences is decided exactly too."""
     out: list[int] = []
     for i in positions:
         px, py = xs[i], ys[i]
@@ -108,7 +109,7 @@ def _half_hull(xs: list[float], ys: list[float], positions: Iterable[int]) -> li
             left = (ax - ox) * (py - oy)
             right = (ay - oy) * (px - ox)
             det = left - right
-            if abs(det) <= _ORIENT_BOUND * (abs(left) + abs(right)):
+            if not abs(det) > _ORIENT_BOUND * (abs(left) + abs(right)):
                 # Exactly, in integers: a float is n / q with q a power of
                 # two, so over the largest q all six coordinates are integers.
                 q = [v.as_integer_ratio() for v in (ox, oy, ax, ay, px, py)]

@@ -76,10 +76,11 @@ def local_cover(
 
     Starting from a location `u` that already covers every prioritized point,
     repeatedly: drop secondary candidates that sit farther than 2r from some
-    committed point (they can never share its disk), absorb candidates already
-    within r of the current location, then try the nearest remaining candidate
-    on the smallest disk enclosing the committed points, grown one point at a
-    time (:func:`grow_disk`) over the candidate and then the points absorbed
+    committed point (they can never share its disk), absorb the candidates
+    within r of the current location (one pass splits them from the rest, in
+    order), then try the nearest remaining candidate on the smallest disk
+    enclosing the committed points, grown one point at a time
+    (:func:`grow_disk`) over the candidate and then the points absorbed
     since the last trial; stop at the first candidate that would push the
     disk radius past r.  The location moves only when a candidate is
     admitted, to the center of the grown disk.
@@ -136,16 +137,13 @@ def local_cover(
     ys = [pts[k][1] for k in covered]
     while pending:
         lx, ly = loc
-        near = []
+        near, far = [], []
         for k in pending:
             x, y = pts[k]
-            if hypot(lx - x, ly - y) <= bound:
-                near.append(k)
+            (near if hypot(lx - x, ly - y) <= bound else far).append(k)
         if near:
             covered.extend(near)
-            near_set = set(near)
-            pending = [k for k in pending if k not in near_set]
-            pending = keep_near(pending, near)
+            pending = keep_near(far, near)
             if not pending:
                 break
         # The nearest candidate, the lowest index among equals.
@@ -169,8 +167,7 @@ def local_cover(
         disk = trial
         loc = trial.center
         covered.append(k1)
-        pending.remove(k1)
-        pending = keep_near(pending, [k1])
+        pending = keep_near([k for k in pending if k != k1], [k1])
     return LocalCoverResult(center=loc, covered=covered)
 
 
@@ -250,12 +247,14 @@ class _Cells:
         for i in range(self.column(x0), self.column(x1) + 1):
             yield from range(i * rows + j0, i * rows + j1)
 
-    def box(self, x0: float, y0: float, x1: float, y1: float) -> list[int]:
-        """The uncovered points of the cells under the box."""
-        lists = self.lists
+    def near(self, x: float, y: float, reach: float) -> list[int]:
+        """Ascending, the uncovered points within ``reach`` of ``(x, y)`` by
+        ``math.hypot``, read from the cells under the box around it."""
+        xs, ys, lists = self.xs, self.ys, self.lists
         out: list[int] = []
-        for c in self._under(x0, y0, x1, y1):
-            out += lists[c]
+        for c in self._under(x - reach, y - reach, x + reach, y + reach):
+            out += [k for k in lists[c] if hypot(x - xs[k], y - ys[k]) <= reach]
+        out.sort()
         return out
 
     def outside(
@@ -376,7 +375,8 @@ def _first_hull(
     the box of a and b.  A diagonal extreme is taken on x +- y rounded once,
     so it may sit off the exact one by that rounding, a few units in the
     last place of the largest |coordinate|; ``slack`` is at least 64 of
-    them.
+    them.  Near the float limit these overflow to inf or NaN, which only errs
+    towards keeping points; the chain decides a NaN orientation exactly.
 
     The union is chained once, not arc by arc: an extreme need not be a
     strict hull vertex (a tie on a collinear edge), and an arc cannot be
@@ -419,11 +419,11 @@ def spiral_steps(
     (:class:`_Cells`) under one chord test (:func:`_chord`).
 
     Apart from finding those extremes, a step reads only the cells near its
-    anchor and its chords.  One scan takes the uncovered points within
-    ``reach``, twice the coverage bound widened by ``1e-12``, of the anchor
-    k0, decided by ``math.hypot`` as :func:`dist` decides it.  The interior
-    points handed to the second ``local_cover`` and the points the placed
-    disk covers both come from it:
+    anchor and its chords.  One scan, :meth:`_Cells.near`, takes the
+    uncovered points within ``reach``, twice the coverage bound widened by
+    ``1e-12``, of the anchor k0, decided by ``math.hypot`` as :func:`dist`
+    decides it.  The interior points handed to the second ``local_cover``
+    and the points the placed disk covers both come from it:
 
     * the widening changes nothing: ``local_cover`` drops every candidate
       farther than twice the coverage bound from k0, a committed point,
@@ -432,7 +432,7 @@ def spiral_steps(
       within the coverage bound of k0, since :func:`grow_disk` returns the
       exact largest distance to the points it holds, so such a point is
       within twice the bound of k0 up to a few units in the last place,
-      far inside the widening.
+      far inside the widening; rounding can put it just past twice the bound.
     """
     r = inst.radius
     pts = inst.points
@@ -464,14 +464,7 @@ def spiral_steps(
             k0 = boundary[int(rng.integers(len(boundary)))]
 
         first = local_cover(pts[k0], [k0], [k for k in boundary if k != k0], inst)
-        ax, ay = pts[k0]
-        near = sorted(
-            [
-                k
-                for k in cells.box(ax - reach, ay - reach, ax + reach, ay + reach)
-                if hypot(ax - xs[k], ay - ys[k]) <= reach
-            ]
-        )
+        near = cells.near(*pts[k0], reach)
         inner = [k for k in near if k not in bset]
         second = local_cover(first.center, first.covered, inner, inst)
         center = second.center

@@ -674,7 +674,7 @@ def _orient_exact(a: Point, b: Point, c: Point):
     left = (bx - ax) * (cy - ay)
     right = (by - ay) * (cx - ax)
     det = left - right
-    if abs(det) <= 1e-6 * abs(left + right):
+    if not abs(det) > 1e-6 * abs(left + right):
         ax, ay, bx, by, cx, cy = map(_fraction, (ax, ay, bx, by, cx, cy))
         det = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
     return det

@@ -118,6 +118,12 @@ class TestConvexHull:
         ]
         assert convex_hull(pts) == convex_hull_serial(pts) == [0, 1, 2]
 
+    def test_overflowed_orientation_is_decided_exactly(self):
+        # Near the float limit the chain's differences overflow to inf and
+        # their determinant to NaN; a NaN sign listed vertex 2 twice.
+        pts = [(1e308, 1e308), (-1e308, -1e308), (1e308, -1e308)]
+        assert convex_hull(pts) == convex_hull_serial(pts) == [1, 2, 0]
+
     def test_matches_extreme_point_oracle_seed7(self):
         pts = uniform_points(20, seed=7)
         assert set(convex_hull(pts)) == extreme_indices(pts)

@@ -121,6 +121,51 @@ def test_flags_a_private_name_its_module_never_reads(tmp_path):
     assert private_names_unread(tmp_path) == ["m.py: _LEFT", "m.py: _B", "m.py: _loop"]
 
 
+def methods_unread(package: Path) -> list[str]:
+    """Methods of the package's classes with no base class that no module of
+    it reads as an attribute, as ``module: Class.method``.
+
+    A method counts as read where its name is loaded as an attribute
+    (``self.column``, ``report.mean_m``) anywhere in the package.  Dunder
+    methods are called by Python, and a class with a base may override a
+    method that the base calls (``cli._Parser.error``), so both are skipped.
+    """
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}
+    read = {
+        node.attr
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    return [
+        f"{name}: {cls.name}.{fn.name}"
+        for name, tree in trees.items()
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef) and not cls.bases
+        for fn in cls.body
+        if isinstance(fn, ast.FunctionDef)
+        and not (fn.name.startswith("__") and fn.name.endswith("__"))
+        and fn.name not in read
+    ]
+
+
+def test_every_method_is_read_by_the_package():
+    assert methods_unread(ROOT / "src" / "diskcover") == []
+
+
+def test_flags_a_method_no_module_reads(tmp_path):
+    (tmp_path / "m.py").write_text(
+        "import argparse\n\n"
+        "class _Cells:\n"
+        "    def __init__(self):\n        self.n = self.count()\n"
+        "    def count(self):\n        return 0\n"
+        "    def box(self):\n        return []\n\n"
+        "class _Parser(argparse.ArgumentParser):\n"
+        "    def error(self, message):\n        raise ValueError(message)\n"
+    )
+    assert methods_unread(tmp_path) == ["m.py: _Cells.box"]
+
+
 def _name_of(node: ast.AST) -> str:
     if isinstance(node, ast.Name):
         return node.id

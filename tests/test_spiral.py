@@ -195,13 +195,6 @@ class TestSolveSpiralExamples:
         assert sol.m == 2
         assert sorted(len(g) for g in sol.newly_covered) == [1, 1]
 
-    @pytest.mark.xfail(
-        raises=ContractError,
-        reason="near the float limit the hull's extent (np.ptp), the extremes' "
-        "projections x +- y and the chord normals in spiral._first_hull overflow, "
-        "and so do geometry._half_hull's orientation differences: the chain lists "
-        "[1, 2, 0, 2], and local_cover raises 'sec set contains repeated indices'",
-    )
     def test_points_near_the_float_limit(self):
         inst = Instance([(1e308, 1e308), (-1e308, -1e308), (1e308, -1e308)], 1.0)
         sol = solve_spiral(inst)
@@ -447,6 +440,21 @@ class TestSpiralMatchesSerial:
         sol = solve_spiral(inst)
         assert max(len(g) for g in sol.newly_covered) == 2
         assert_same_as_serial(inst)
+
+    def test_a_covered_point_just_past_twice_the_bound(self):
+        # The disk over the anchor 0 and point 1 covers point 2, which hypot puts
+        # a few ulps past twice the coverage bound from the anchor: the rounded
+        # differences and distances err apart.  The anchor's scan reaches it
+        # only through its 1e-12 widening.
+        pts = [
+            (1.6671978197091633, -0.4563000203697913),
+            (-0.261856249272447, 0.07166816706719206),
+            (-0.26185624927244716, 0.07166816706719205),
+        ]
+        inst = make_inst(pts, 1.0)
+        assert dist(pts[0], pts[2]) > 2.0 * coverage_bound(1.0) >= dist(pts[0], pts[1])
+        steps = assert_same_as_serial(inst)
+        assert [(step.k0, step.newly) for step in steps] == [(0, [0, 1, 2])]
 
 
 def assert_rings_are_hulls(inst, **kwargs):
