@@ -3,7 +3,7 @@
 from .baselines import TrialConfig, solve_kmeans, solve_random, solve_strip
 from .bench import Campaign, generate_topology, run_campaign
 from .exact import BudgetExceededError, CandidateDisk, generate_candidates, min_cover
-from .geometry import Disk, Point, convex_hull, covers, dist, one_center
+from .geometry import Disk, Point, convex_hull, dist, one_center
 from .problem import Instance, Solution, solution_violations
 from .spiral import ContractError, LocalCoverResult, local_cover, solve_spiral
 from .svg import render_svg
@@ -22,7 +22,6 @@ __all__ = [
     "Solution",
     "TrialConfig",
     "convex_hull",
-    "covers",
     "dist",
     "generate_candidates",
     "generate_topology",

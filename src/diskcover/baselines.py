@@ -13,12 +13,10 @@ from .exact import DEFAULT_NODE_LIMIT
 from .geometry import (
     Disk,
     Point,
-    coverage_bound,
-    covers,
+    dist,
     grow_disk,
     one_center,
     within_mask,
-    within_radius,
 )
 from .problem import Instance, Solution
 
@@ -63,7 +61,7 @@ def solve_strip(inst: Instance, seed: int = 0) -> Solution:
     t0 = time.perf_counter()
 
     h = STRIP_HEIGHT_FACTOR * r
-    bound = coverage_bound(r)
+    bound = inst.bound
     min_y = min(p[1] for p in pts)
     strips: dict[int, list[int]] = {}
     for k, p in enumerate(pts):
@@ -86,12 +84,11 @@ def solve_strip(inst: Instance, seed: int = 0) -> Solution:
                 xs.append(x)
                 ys.append(y)
                 trial = grow_disk(mec, xs, ys)
-                if not within_radius(r, trial.radius):
+                if not trial.radius <= bound:
                     break
                 mec = trial
-            disk = Disk(mec.center, r)
             # remaining ascends in x, and a point whose x exceeds the
-            # center's by more than the bound fails covers, as does every
+            # center's by more than the bound is not covered, nor is any
             # later one: hypot is at least |dx|.
             cx = mec.center[0]
             stop = len(remaining)
@@ -101,7 +98,7 @@ def solve_strip(inst: Instance, seed: int = 0) -> Solution:
                     break
             newly, kept = [], []
             for k in remaining[:stop]:
-                (newly if covers(disk, pts[k]) else kept).append(k)
+                (newly if dist(mec.center, pts[k]) <= bound else kept).append(k)
             centers.append(mec.center)
             newly_all.append(newly)
             remaining = kept + remaining[stop:]
@@ -381,7 +378,7 @@ def _lloyd_lockstep(
     # within half the diagonal of the box centre (accept).  Only the clusters
     # in between, unsure, need an exact enclosing disk.  Each block records
     # its clusters' verdicts; the step settles them at once.
-    bound = coverage_bound(r)
+    bound = inst.bound
     wide = np.zeros((b_rows, pm), dtype=bool)
     unsure = np.zeros((b_rows, pm), dtype=bool)
     start = 0
@@ -417,7 +414,7 @@ def _lloyd_lockstep(
     for b in np.flatnonzero(check.any(axis=1)):
         for j in np.flatnonzero(check[b]):
             mec = one_center([inst.points[k] for k in np.flatnonzero(labels[b] == j).tolist()])
-            if not within_radius(r, mec.radius):
+            if not mec.radius <= bound:
                 feasible[b] = False
                 break
     return labels, feasible
@@ -501,11 +498,10 @@ def solve_kmeans(inst: Instance, seed: int = 0, cfg: Optional[TrialConfig] = Non
 def solve_random(inst: Instance, seed: int = 0, cfg: Optional[TrialConfig] = None) -> Solution:
     """Best of `trials` passes that stack disks on uniformly drawn uncovered points."""
     cfg = cfg or TrialConfig()
-    r = inst.radius
     t0 = time.perf_counter()
     xy = inst.xy
     k_total = inst.k
-    bound = coverage_bound(r)
+    bound = inst.bound
     # The points each drawn center reaches, ascending, shared by every pass.
     reach: dict[int, np.ndarray] = {}
 

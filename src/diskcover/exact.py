@@ -24,7 +24,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .geometry import Point, coverage_bound, within_mask
+from .geometry import Point, within_mask
 from .problem import Instance, Solution
 
 DEFAULT_NODE_LIMIT = 10_000_000
@@ -74,7 +74,7 @@ def generate_candidates(inst: Instance) -> list[CandidateDisk]:
     r = inst.radius
     xy = inst.xy
     k_total = inst.k
-    bound = coverage_bound(r)
+    bound = inst.bound
 
     centers = np.concatenate([xy, _pair_centers(xy, r, 2.0 * bound)])
 

@@ -13,9 +13,10 @@ Point = tuple[float, float]
 
 # Shared coverage slack: a point at distance d counts as inside a disk of
 # radius rho when d <= rho * (1 + REL_TOL).  Every radius-vs-r comparison in
-# the package uses the same rule so that boundary contacts (points exactly at
-# the coverage radius) survive floating point.  The slack is relative, so a
-# uniform scaling of an instance scales it too.
+# the package reads ``Instance.bound``, made once by this rule, so that
+# boundary contacts (points exactly at the coverage radius) survive floating
+# point.  The slack is relative, so a uniform scaling of an instance scales
+# it too.
 REL_TOL = 1e-9
 
 # Internal slack for the enclosing-disk recursion only.
@@ -47,13 +48,11 @@ def coverage_bound(radius: float) -> float:
 
 
 def within_radius(radius: float, d: float) -> bool:
-    """Tolerant radius comparison: d <= radius up to the shared slack."""
+    """Tolerant radius comparison: d <= radius up to the shared slack.
+
+    The package reads ``Instance.bound``; this stays for perfbench's tracer.
+    """
     return d <= coverage_bound(radius)
-
-
-def covers(d: Disk, p: Point) -> bool:
-    """True when p lies in d, within the shared coverage slack."""
-    return within_radius(d.radius, dist(d.center, p))
 
 
 def within_mask(xy: np.ndarray, center: Union[Point, np.ndarray], limit: float) -> np.ndarray:

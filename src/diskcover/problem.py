@@ -8,7 +8,7 @@ from typing import Optional
 
 import numpy as np
 
-from .geometry import Disk, Point, covers
+from .geometry import Point, coverage_bound, dist
 
 
 @dataclass
@@ -18,7 +18,10 @@ class Instance:
     ``points`` is a sequence of ``(x, y)`` pairs or an ``(n, 2)`` array,
     stored as float tuples; ``xy`` holds the same floats as a read-only
     ``(n, 2)`` array, which the solvers read (an attribute, not a field).
-    ``radius`` is finite and positive.  ``region_side`` is metadata
+    ``radius`` is finite and positive.  A point within ``bound`` of a center
+    is covered: ``bound`` is ``coverage_bound(radius)``, worked out once,
+    and every solver and :func:`solution_violations` read it (an attribute,
+    as ``xy`` is).  ``region_side`` is metadata
     describing the square the points were drawn from (used by benchmarks and
     the SVG renderer).
     """
@@ -44,6 +47,7 @@ class Instance:
         self.radius = float(self.radius)
         if not (math.isfinite(self.radius) and self.radius > 0.0):
             raise ValueError(f"radius must be finite and positive: {self.radius}")
+        self.bound = coverage_bound(self.radius)
         if self.region_side is not None:
             self.region_side = float(self.region_side)
             if not (math.isfinite(self.region_side) and self.region_side > 0.0):
@@ -80,7 +84,6 @@ class Solution:
 def solution_violations(inst: Instance, sol: Solution) -> list[str]:
     """Every way `sol` fails the coverage contract for `inst` (empty = feasible)."""
     problems: list[str] = []
-    r = inst.radius
     if len(sol.centers) != len(sol.newly_covered):
         problems.append("centers and newly_covered lengths differ")
         return problems
@@ -90,7 +93,6 @@ def solution_violations(inst: Instance, sol: Solution) -> list[str]:
     for m, (center, group) in enumerate(zip(sol.centers, sol.newly_covered)):
         if not group:
             problems.append(f"center {m} covers nothing new")
-        disk = Disk(center, r)
         for k in group:
             if not 0 <= k < inst.k:
                 problems.append(f"center {m} lists invalid point index {k}")
@@ -98,7 +100,7 @@ def solution_violations(inst: Instance, sol: Solution) -> list[str]:
             if k in seen:
                 problems.append(f"point {k} assigned to more than one center")
             seen.add(k)
-            if not covers(disk, inst.points[k]):
+            if not dist(center, inst.points[k]) <= inst.bound:
                 problems.append(f"point {k} is outside radius of center {m}")
     missing = set(range(inst.k)) - seen
     if missing:

@@ -18,7 +18,6 @@ import numpy as np
 from .geometry import (
     Point,
     convex_hull,
-    coverage_bound,
     dist,
     grow_disk,
     one_center,
@@ -93,7 +92,6 @@ def local_cover(
     covers; a prio that `u` covers fits the disk at `u`, so prio's own
     enclosing disk is not tested against r on its own.
     """
-    r = inst.radius
     pts = inst.points
     if not prio:
         raise ContractError("prio set must be non-empty")
@@ -105,7 +103,7 @@ def local_cover(
         raise ContractError("sec set contains repeated indices")
     if set(covered) & set(pending):
         raise ContractError("prio and sec sets overlap")
-    bound = coverage_bound(r)
+    bound = inst.bound
     loc = (float(u[0]), float(u[1]))
     if any(dist(loc, pts[k]) > bound for k in covered):
         raise ContractError("starting location does not cover the prio set")
@@ -383,7 +381,8 @@ def _first_hull(
     cut at it.
     """
     uncovered = np.flatnonzero(np.frombuffer(cells.alive, dtype=bool))
-    ext = uncovered[np.argmax(_EXTREME_DIRECTIONS @ xy[uncovered].T, axis=1)].tolist()
+    with np.errstate(over="ignore"):
+        ext = uncovered[np.argmax(_EXTREME_DIRECTIONS @ xy[uncovered].T, axis=1)].tolist()
     verts = [k for i, k in enumerate(ext) if k != ext[i - 1]]
     if len(set(verts)) < 3:
         cand = uncovered.tolist()
@@ -434,21 +433,22 @@ def spiral_steps(
       within twice the bound of k0 up to a few units in the last place,
       far inside the widening; rounding can put it just past twice the bound.
     """
-    r = inst.radius
     pts = inst.points
     xy = inst.xy
     rng = np.random.Generator(np.random.PCG64(seed))
 
-    bound = coverage_bound(r)
+    bound = inst.bound
     reach = 2.0 * bound * (1.0 + 1e-12)
     cells = _Cells([p[0] for p in pts], [p[1] for p in pts], reach)
     xs, ys, alive = cells.xs, cells.ys, cells.alive
     left = inst.k
     carried: Optional[int] = None
     # The whole instance's slack and margin are at least those of any subset,
-    # so every chord test errs towards keeping.
+    # so every chord test errs towards keeping; so does an extent that
+    # overflows to inf near the float limit.
     slack = _HULL_MARGIN * float(np.abs(xy).max())
-    margin = slack * float(np.ptp(xy, axis=0).max())
+    with np.errstate(over="ignore"):
+        margin = slack * float(np.ptp(xy, axis=0).max())
     boundary: list[int] = []
 
     while left:

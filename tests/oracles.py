@@ -40,7 +40,6 @@ from diskcover.exact import BudgetExceededError, CandidateDisk
 from diskcover.geometry import (
     Disk,
     coverage_bound,
-    covers,
     dist,
     one_center,
     within_mask,
@@ -54,6 +53,11 @@ Point = tuple[float, float]
 _ENCLOSE_EPS = 1.0 + 1e-12
 # The enclosing-disk recursion's own slack, as in diskcover.geometry.
 _MEC_EPS = 1.0 + 1e-14
+
+
+def covers(disk: Disk, p: Point) -> bool:
+    """Whether p lies in disk, within the coverage slack of its radius."""
+    return dist(disk.center, p) <= coverage_bound(disk.radius)
 
 
 def _orient(a: Point, b: Point, c: Point) -> float:

@@ -17,7 +17,7 @@ from diskcover import (
     solve_strip,
     TrialConfig,
 )
-from diskcover.geometry import Disk, covers
+from diskcover.geometry import Disk
 from diskcover.bench import generate_topology
 from diskcover.exact import _incidence
 
@@ -25,6 +25,7 @@ from conftest import grid_point_lists, instances
 from oracles import (
     candidates_serial,
     candidates_unpruned,
+    covers,
     grid_cover_masks,
     incidence_serial,
     min_cover_size_by_combinations,
@@ -228,7 +229,7 @@ class TestMinCover:
     @pytest.mark.xfail(
         reason="the pair-circle centers round by about 4e-9 at 2**24, past the "
         "1e-9 * r slack, so no candidate covers the pair; the fix is a "
-        "magnitude term in the coverage slack",
+        "magnitude term in Instance.bound, the one value every solver reads",
     )
     def test_optimum_far_from_the_origin_is_not_beaten(self):
         # 1.99 apart, so one disk of radius 1 covers both: the spiral finds

@@ -9,7 +9,6 @@ from diskcover.geometry import (
     Disk,
     convex_hull,
     coverage_bound,
-    covers,
     dist,
     grow_disk,
     one_center,
@@ -17,6 +16,7 @@ from diskcover.geometry import (
     within_radius,
 )
 from diskcover import spiral
+from diskcover.problem import Instance
 from diskcover.spiral import _HULL_MARGIN, _Cells, _first_hull
 
 from conftest import HYPOT_SPLIT_PAIR, grid_point_lists, offsets, point_lists, scales
@@ -44,15 +44,20 @@ class TestDist:
         assert dist(a, b) == dist(b, a) >= 0.0
 
 
+def covered(center, p, r):
+    """The coverage rule as every solver reads it: the instance's bound."""
+    return dist(center, p) <= Instance([center], r).bound
+
+
 class TestCovers:
     def test_boundary_point(self):
-        assert covers(Disk((0.0, 0.0), 1.0), (1.0, 0.0))
+        assert covered((0.0, 0.0), (1.0, 0.0), 1.0)
 
     def test_outside_beyond_tolerance(self):
-        assert not covers(Disk((0.0, 0.0), 1.0), (1.000001, 0.0))
+        assert not covered((0.0, 0.0), (1.000001, 0.0), 1.0)
 
     def test_center(self):
-        assert covers(Disk((0.0, 0.0), 1.0), (0.0, 0.0))
+        assert covered((0.0, 0.0), (0.0, 0.0), 1.0)
 
     @given(point_lists(min_size=3, max_size=3), st.floats(min_value=0.01, max_value=10.0))
     def test_two_r_lemma(self, pts, r):
@@ -61,8 +66,7 @@ class TestCovers:
         a, b, c = pts
         if dist(a, b) <= 2.0 * coverage_bound(r):
             return
-        d = Disk(c, r)
-        assert not (covers(d, a) and covers(d, b))
+        assert not (covered(c, a, r) and covered(c, b, r))
 
 
 class TestConvexHull:

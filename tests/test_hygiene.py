@@ -338,6 +338,41 @@ def test_flags_a_point_conversion(tmp_path):
     assert point_conversions(tmp_path) == ["m.py:3", "m.py:6"]
 
 
+def coverage_rule_calls(package: Path) -> list[str]:
+    """Calls of ``coverage_bound`` or ``within_radius`` outside ``problem.py``
+    and ``geometry.py``.
+
+    ``Instance`` works out its coverage bound once, as ``inst.bound``; a
+    solver reads that instead of deriving the slack from the radius again.
+    """
+    found: list[tuple[str, int]] = []
+    for path in sorted(package.glob("*.py")):
+        if path.name in ("problem.py", "geometry.py"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and _name_of(node.func) in (
+                "coverage_bound",
+                "within_radius",
+            ):
+                found.append((path.name, node.lineno))
+    return [f"{name}:{line}" for name, line in sorted(found)]
+
+
+def test_the_coverage_bound_is_worked_out_in_problem_only():
+    assert coverage_rule_calls(ROOT / "src" / "diskcover") == []
+
+
+def test_flags_a_coverage_bound_call(tmp_path):
+    (tmp_path / "problem.py").write_text("bound = coverage_bound(radius)\n")
+    (tmp_path / "geometry.py").write_text("ok = within_radius(1.0, 1.0)\n")
+    (tmp_path / "m.py").write_text(
+        "def a(inst):\n    return inst.bound\n"
+        "def b(inst, d):\n    return geometry.within_radius(inst.radius, d)\n"
+        "def c(r):\n    return 2.0 * coverage_bound(r)\n"
+    )
+    assert coverage_rule_calls(tmp_path) == ["m.py:4", "m.py:6"]
+
+
 def test_instance_xy_is_its_points_read_only():
     # Imported here, so that the module itself needs only the standard library.
     from diskcover import Instance

@@ -29,7 +29,9 @@ class TestInstancePoints:
         a = Instance([(0.0, 1.0)], 2.0)
         assert a == Instance(np.array([[0.0, 1.0]]), 2.0)
         assert "xy" not in repr(a)
+        assert "bound" not in repr(a)
         assert [f.name for f in dataclasses.fields(a)] == ["points", "radius", "region_side"]
+        assert PAIR.with_radius(2.0).bound == coverage_bound(2.0)
 
 
 @pytest.mark.parametrize("name", SOLVERS)
@@ -69,6 +71,7 @@ ONE = Instance([(0.0, 0.0)], radius=0.7)
             [[0]],
             ["point 0 is outside radius of center 0"],
         ),
+        (ONE, [(math.nan, 0.0)], [[0]], ["point 0 is outside radius of center 0"]),
         (PAIR, [MID], [[0]], ["points never covered: [1]"]),
     ],
     ids=[
@@ -80,6 +83,7 @@ ONE = Instance([(0.0, 0.0)], radius=0.7)
         "assigned-twice",
         "exactly-at-the-bound",
         "one-ulp-past-the-bound",
+        "nan-center",
         "never-covered",
     ],
 )

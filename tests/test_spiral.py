@@ -16,13 +16,14 @@ from diskcover import (
 from diskcover.exact import min_cover
 from diskcover import spiral
 from diskcover.spiral import spiral_steps
-from diskcover.geometry import Disk, coverage_bound, covers, dist, within_radius
+from diskcover.geometry import Disk, coverage_bound, dist, within_radius
 from diskcover.bench import generate_topology
 
 from conftest import grid_point_lists, instances, offsets, scales
 from oracles import (
     best_single_disk_extension,
     convex_hull_serial,
+    covers,
     local_cover_serial,
     spiral_serial,
 )
@@ -195,6 +196,7 @@ class TestSolveSpiralExamples:
         assert sol.m == 2
         assert sorted(len(g) for g in sol.newly_covered) == [1, 1]
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_points_near_the_float_limit(self):
         inst = Instance([(1e308, 1e308), (-1e308, -1e308), (1e308, -1e308)], 1.0)
         sol = solve_spiral(inst)
