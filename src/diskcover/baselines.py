@@ -266,15 +266,15 @@ def _refine_lockstep(
     buf: np.ndarray,
     tmp_buf: np.ndarray,
     r: float,
-) -> np.ndarray:
+) -> None:
     """Single-point refinement moves per row while one lowers the total
     within-cluster squared error by more than ``1e-12 * r * r``.
 
     Sizes reweight the change: a point joining a cluster of n costs n/(n+1)
     of its squared distance, leaving refunds n/(n-1).  This escapes the
     plateaus batch passes converge to.  Updates `labels` in place (the
-    centers are left stale) and returns the cluster sizes (B, max p).  Once
-    half the working rows have stopped, they are written back and dropped.
+    centers are left stale).  Once half the working rows have stopped, their
+    labels are written back and the rows dropped.
     """
     _, b_rows, pm = c.shape
     n = pts.shape[1]
@@ -295,7 +295,7 @@ def _refine_lockstep(
     for _ in range(3 * n):
         if 2 * np.count_nonzero(active) <= len(at):
             # Half the working rows have stopped: write them back, drop them.
-            labels[at], counts[at] = lab, cnt
+            labels[at] = lab
             keep = np.flatnonzero(active)
             rows = buf[: len(at) * row_size].reshape(len(at), row_size)
             rows[: keep.size] = rows[keep]
@@ -342,8 +342,7 @@ def _refine_lockstep(
         cnt_flat[flat_cols] = size + sign
         lab[mv, i] = dst
         dist2[rows, :, cols] = _sqdist(pts, wc_flat[:, flat_cols])
-    labels[at], counts[at] = lab, cnt
-    return counts
+    labels[at] = lab
 
 
 def _lloyd_lockstep(
@@ -363,7 +362,7 @@ def _lloyd_lockstep(
     padding at +inf, which no point ever picks.  Seeding and the exact
     feasibility checks take every row at once; the batch passes and the
     refinement, whose (rows, n, p) arrays live in ``buf`` and ``tmp_buf``,
-    take blocks of rows that fit them, and so do the bounding boxes.
+    take blocks of rows that fit them.
     Returns the labels (B, n) and whether each row's clusters all fit in a
     radius-r disk (B,).
     """
@@ -373,14 +372,6 @@ def _lloyd_lockstep(
     pts = np.ascontiguousarray(inst.xy.T)
     seeds = _seed_lockstep(pts, ps, rngs)
     labels = np.empty((b_rows, n), dtype=np.intp)
-    # Feasibility over per-cluster bounding boxes.  Half the larger extent
-    # lower-bounds the enclosing radius (too wide: reject); every member lies
-    # within half the diagonal of the box centre (accept).  Only the clusters
-    # in between, unsure, need an exact enclosing disk.  Each block records
-    # its clusters' verdicts; the step settles them at once.
-    bound = inst.bound
-    wide = np.zeros((b_rows, pm), dtype=bool)
-    unsure = np.zeros((b_rows, pm), dtype=bool)
     start = 0
     while start < b_rows:
         # Rows are ascending in p, so a block's last row has its largest count.
@@ -396,19 +387,25 @@ def _lloyd_lockstep(
         lab = labels[start:stop]
         lab[:] = _batch_lockstep(pts, c, real, buf, tmp_buf)
         pad = np.where(real, 0.0, np.inf)
-        used = _refine_lockstep(pts, lab, c, pad, buf, tmp_buf, r) > 0
-        g = (lab + (np.arange(rows) * bp)[:, None]).ravel()
-        tiled = np.tile(pts, rows)
-        lo = np.full((2, rows * bp), np.inf)
-        hi = np.full((2, rows * bp), -np.inf)
-        for axis in (0, 1):
-            np.minimum.at(lo[axis], g, tiled[axis])
-            np.maximum.at(hi[axis], g, tiled[axis])
-        ex, ey = (hi - lo).reshape(2, rows, bp)
-        wide[start:stop, :bp] = used & (np.maximum(ex, ey) / 2.0 > bound)
-        unsure[start:stop, :bp] = used & ~(np.hypot(ex, ey) / 2.0 <= r)
+        _refine_lockstep(pts, lab, c, pad, buf, tmp_buf, r)
         start = stop
 
+    # Feasibility over per-cluster bounding boxes, every row's at once.  Half
+    # the larger extent lower-bounds the enclosing radius (too wide: reject);
+    # every member lies within half the diagonal of the box centre (accept).
+    # Only the clusters in between, unsure, need an exact enclosing disk.  An
+    # empty or padding cluster keeps its box at +inf..-inf, extent 0: neither.
+    bound = inst.bound
+    g = (labels + (np.arange(b_rows) * pm)[:, None]).ravel()
+    tiled = np.tile(pts, b_rows)
+    lo = np.full((2, b_rows * pm), np.inf)
+    hi = np.full((2, b_rows * pm), -np.inf)
+    for axis in (0, 1):
+        np.minimum.at(lo[axis], g, tiled[axis])
+        np.maximum.at(hi[axis], g, tiled[axis])
+    ex, ey = np.maximum(hi - lo, 0.0).reshape(2, b_rows, pm)
+    wide = np.maximum(ex, ey) / 2.0 > bound
+    unsure = ~(np.hypot(ex, ey) / 2.0 <= r)
     feasible = ~wide.any(axis=1)
     check = unsure & feasible[:, None]
     for b in np.flatnonzero(check.any(axis=1)):

@@ -397,17 +397,13 @@ def _first_hull(
     return [cand[h] for h in convex_hull([pts[k] for k in cand])]
 
 
-def spiral_steps(
-    inst: Instance, seed: int = 0, deterministic_start: bool = True
-) -> Iterator[SpiralStep]:
+def spiral_steps(inst: Instance) -> Iterator[SpiralStep]:
     """Place radius-r disks along the shrinking perimeter, yielding each step.
 
-    With ``deterministic_start`` the first anchor of each sweep is the
-    bottom-most (then left-most) hull point, making the output bit-identical
-    across runs; otherwise the anchor is drawn uniformly from the hull points
-    using ``seed``.  Subsequent anchors follow the counterclockwise walk from
-    the previous anchor over the hull points that remain uncovered.  The
-    steps' ``newly`` lists partition the point indices.
+    The first anchor of each sweep is the bottom-most (then left-most) hull
+    point; later anchors follow the counterclockwise walk from the previous
+    anchor over the hull points that remain uncovered.  The steps' ``newly``
+    lists partition the point indices.
 
     The hull is carried from step to step as a deletion-only hull: while
     three or more of its vertices stay uncovered, only the arc across each
@@ -435,8 +431,6 @@ def spiral_steps(
     """
     pts = inst.points
     xy = inst.xy
-    rng = np.random.Generator(np.random.PCG64(seed))
-
     bound = inst.bound
     reach = 2.0 * bound * (1.0 + 1e-12)
     cells = _Cells([p[0] for p in pts], [p[1] for p in pts], reach)
@@ -456,13 +450,7 @@ def spiral_steps(
         boundary = _first_hull(xy, pts, cells, margin, slack) if ring is None else ring
         bset = set(boundary)
 
-        if carried is not None and carried in bset:
-            k0 = carried
-        elif deterministic_start:
-            k0 = boundary[0]
-        else:
-            k0 = boundary[int(rng.integers(len(boundary)))]
-
+        k0 = carried if carried in bset else boundary[0]
         first = local_cover(pts[k0], [k0], [k for k in boundary if k != k0], inst)
         near = cells.near(*pts[k0], reach)
         inner = [k for k in near if k not in bset]
@@ -490,11 +478,17 @@ def spiral_steps(
 
 
 def solve_spiral(inst: Instance, seed: int = 0, deterministic_start: bool = True) -> Solution:
-    """Cover every point with the disks of :func:`spiral_steps`."""
+    """Cover every point with the disks of :func:`spiral_steps`.
+
+    Fully deterministic; `seed` is only recorded.  ``deterministic_start``
+    must be True: the bottom-most hull point is the only start.
+    """
+    if not deterministic_start:
+        raise ValueError("deterministic_start=False: the spiral has one start")
     t0 = time.perf_counter()
     centers: list[Point] = []
     newly_all: list[list[int]] = []
-    for step in spiral_steps(inst, seed, deterministic_start):
+    for step in spiral_steps(inst):
         centers.append(step.center)
         newly_all.append(step.newly)
     return Solution(

@@ -59,3 +59,20 @@ scales = st.sampled_from([10.0**e for e in range(-6, 7)] + [2.0**-20, 2.0**-3, 2
 offsets = st.sampled_from([0.0, 1.0, 1e3, 5e5, 1e6, 3.7e7, 1e9, 2.0**30]).flatmap(
     lambda o: st.sampled_from([o, -o])
 )
+
+
+def quarter_turn(inst, q):
+    """The instance turned q quarter turns counterclockwise about the origin,
+    each mapping (x, y) to (-y, x).
+
+    The map is exact in floats, so lattices, lines and offsets stay exact.
+    The spiral starts at the bottom-most hull vertex; on the turned instance
+    that is, for q = 1, 2 and 3, the original's left-most, top-most and
+    right-most one.
+    """
+    from diskcover import Instance
+
+    pts = inst.points
+    for _ in range(q):
+        pts = [(-y, x) for x, y in pts]
+    return Instance(points=pts, radius=inst.radius)

@@ -804,20 +804,17 @@ def local_cover_serial(
     return LocalCoverResult(center=loc, covered=covered)
 
 
-def spiral_serial(
-    inst: Instance, seed: int = 0, deterministic_start: bool = True, resolve: str = "incremental"
-) -> list[SpiralStep]:
+def spiral_serial(inst: Instance, resolve: str = "incremental") -> list[SpiralStep]:
     """The spiral loop with every uncovered point passed to each step.
 
-    Each step takes the serial hull of all uncovered points, hands every
+    Each step takes the serial hull of all uncovered points, anchors at the
+    carried hull point or else the hull's first (bottom-most), hands every
     interior point to the second ``local_cover_serial`` call and tests every
     uncovered point against the placed disk.  ``resolve`` is passed to
     both ``local_cover_serial`` calls.
     """
     r = inst.radius
     pts = inst.points
-    rng = np.random.Generator(np.random.PCG64(seed))
-
     uncovered = list(range(inst.k))
     carried: Optional[int] = None
     steps: list[SpiralStep] = []
@@ -828,12 +825,7 @@ def spiral_serial(
         bset = set(boundary)
         inner = [k for k in uncovered if k not in bset]
 
-        if carried is not None and carried in bset:
-            k0 = carried
-        elif deterministic_start:
-            k0 = boundary[0]
-        else:
-            k0 = boundary[int(rng.integers(len(boundary)))]
+        k0 = carried if carried in bset else boundary[0]
 
         first = local_cover_serial(pts[k0], [k0], [k for k in boundary if k != k0], inst, resolve)
         second = local_cover_serial(first.center, first.covered, inner, inst, resolve)

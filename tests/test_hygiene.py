@@ -242,7 +242,9 @@ def unpassed_keywords(package: Path, callers: list[Path]) -> list[str]:
 
 
 def test_every_keyword_parameter_is_passed():
-    # perfbench is a real caller: it passes solve_spiral's deterministic_start.
+    # perfbench is a real caller: it passes solve_spiral's deterministic_start,
+    # whose one accepted value is True.  The parameter goes once the benchmark
+    # stops passing it.
     assert unpassed_keywords(ROOT / "src" / "diskcover", [ROOT / "perfbench"]) == []
 
 
@@ -371,6 +373,39 @@ def test_flags_a_coverage_bound_call(tmp_path):
         "def c(r):\n    return 2.0 * coverage_bound(r)\n"
     )
     assert coverage_rule_calls(tmp_path) == ["m.py:4", "m.py:6"]
+
+
+# The modules that may build a random generator: bench.py draws topologies,
+# baselines.py the trials of k-means and random, and geometry.py holds
+# one_center's fixed shuffle.
+RANDOM_MODULES = ("bench.py", "baselines.py", "geometry.py")
+
+
+def random_generators(package: Path) -> list[str]:
+    """Calls of ``PCG64`` or ``Random`` (``np.random.PCG64(seed)``,
+    ``random.Random(0x5EED5)``) outside RANDOM_MODULES, as ``module:line``."""
+    found: list[tuple[str, int]] = []
+    for path in sorted(package.glob("*.py")):
+        if path.name in RANDOM_MODULES:
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and _name_of(node.func) in ("PCG64", "Random"):
+                found.append((path.name, node.lineno))
+    return [f"{name}:{line}" for name, line in sorted(found)]
+
+
+def test_randomness_lives_in_three_modules():
+    assert random_generators(ROOT / "src" / "diskcover") == []
+
+
+def test_flags_a_random_generator(tmp_path):
+    (tmp_path / "bench.py").write_text("rng = np.random.Generator(np.random.PCG64(seed))\n")
+    (tmp_path / "geometry.py").write_text("random.Random(0x5EED5).shuffle(order)\n")
+    (tmp_path / "m.py").write_text(
+        "def a(seed):\n    return np.random.Generator(np.random.PCG64(seed))\n"
+        "def b():\n    return Random(7), np.random.default_rng\n"
+    )
+    assert random_generators(tmp_path) == ["m.py:2", "m.py:4"]
 
 
 def test_instance_xy_is_its_points_read_only():

@@ -19,7 +19,7 @@ from diskcover.spiral import spiral_steps
 from diskcover.geometry import Disk, coverage_bound, dist, within_radius
 from diskcover.bench import generate_topology
 
-from conftest import grid_point_lists, instances, offsets, scales
+from conftest import grid_point_lists, instances, offsets, quarter_turn, scales
 from oracles import (
     best_single_disk_extension,
     convex_hull_serial,
@@ -196,6 +196,11 @@ class TestSolveSpiralExamples:
         assert sol.m == 2
         assert sorted(len(g) for g in sol.newly_covered) == [1, 1]
 
+    def test_deterministic_start_false_raises(self):
+        inst = make_inst([(0.0, 0.0), (3.0, 0.0), (0.0, 3.0)], 1.0)
+        with pytest.raises(ValueError):
+            solve_spiral(inst, deterministic_start=False)
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_points_near_the_float_limit(self):
         inst = Instance([(1e308, 1e308), (-1e308, -1e308), (1e308, -1e308)], 1.0)
@@ -232,19 +237,19 @@ class TestSolveSpiralProperties:
         assert a.centers == b.centers
         assert a.newly_covered == b.newly_covered
 
-    @given(instances(max_size=25), st.integers(min_value=0, max_value=2**31))
+    @given(instances(max_size=25), st.integers(min_value=1, max_value=3))
     @settings(max_examples=25)
-    def test_seeded_start_deterministic_and_feasible(self, inst, seed):
-        a = solve_spiral(inst, seed=seed, deterministic_start=False)
-        b = solve_spiral(inst, seed=seed, deterministic_start=False)
+    def test_turned_start_deterministic_and_feasible(self, inst, q):
+        turned = quarter_turn(inst, q)
+        a, b = solve_spiral(turned), solve_spiral(turned)
         assert a.centers == b.centers
-        assert not solution_violations(inst, a)
+        assert not solution_violations(turned, a)
 
     def test_trace_invariants_on_reference_density(self):
         for t in range(6):
             inst = generate_topology(60, 3.0, 700 + t, radius=0.5)
             uncovered = set(range(inst.k))
-            for step in spiral_steps(inst, seed=700 + t):
+            for step in spiral_steps(inst):
                 # The anchor is a hull point of the uncovered set and is
                 # committed during the boundary phase.
                 assert step.k0 in step.boundary
@@ -258,7 +263,7 @@ class TestSolveSpiralProperties:
         # Uncovered hull points stay hull points after a disk is removed.
         for t in range(6):
             inst = generate_topology(50, 3.0, 900 + t, radius=0.6)
-            steps = list(spiral_steps(inst, seed=900 + t))
+            steps = list(spiral_steps(inst))
             for prev, nxt in zip(steps, steps[1:]):
                 survivors = set(prev.boundary) - set(prev.newly)
                 assert survivors <= set(nxt.boundary)
@@ -345,10 +350,10 @@ def survivors(step):
     return [k for k in step.boundary if k not in newly]
 
 
-def assert_same_as_serial(inst, **kwargs):
-    steps = list(spiral_steps(inst, **kwargs))
-    assert steps == spiral_serial(inst, **kwargs)
-    sol = solve_spiral(inst, **kwargs)
+def assert_same_as_serial(inst):
+    steps = list(spiral_steps(inst))
+    assert steps == spiral_serial(inst)
+    sol = solve_spiral(inst)
     assert sol.centers == [step.center for step in steps]
     assert sol.newly_covered == [step.newly for step in steps]
     return steps
@@ -362,19 +367,19 @@ class TestSpiralMatchesSerial:
     def test_deterministic_start(self, inst):
         assert_same_as_serial(inst)
 
-    @given(spiral_cases(), st.integers(min_value=0, max_value=2**31))
+    @given(spiral_cases(), st.integers(min_value=1, max_value=3))
     @settings(max_examples=100)
-    def test_seeded_start(self, inst, seed):
-        assert_same_as_serial(inst, seed=seed, deterministic_start=False)
+    def test_turned_start(self, inst, q):
+        assert_same_as_serial(quarter_turn(inst, q))
 
-    @pytest.mark.parametrize("deterministic_start", [True, False])
-    def test_k2000_cell(self, deterministic_start):
+    @pytest.mark.parametrize("turned", [False, True])
+    def test_k2000_cell(self, turned):
         inst = generate_topology(2000, 1.0, 6000, radius=1.0 / 50.0)
-        assert_same_as_serial(inst, seed=6000, deterministic_start=deterministic_start)
+        assert_same_as_serial(quarter_turn(inst, 1) if turned else inst)
 
     @pytest.mark.parametrize("offset", [0.0, 1e9])
-    @pytest.mark.parametrize("deterministic_start", [True, False])
-    def test_strip_cut_into_pieces(self, offset, deterministic_start):
+    @pytest.mark.parametrize("turned", [False, True])
+    def test_strip_cut_into_pieces(self, offset, turned):
         # A tilted strip 1.2r wide and 120r long: a disk placed across it
         # covers hull vertices on both long sides, so one step removes
         # non-adjacent runs of the previous hull, and the next hull is
@@ -384,13 +389,13 @@ class TestSpiralMatchesSerial:
         strip = rng.random((600, 2)) * (120.0, 1.2)
         pts = [(offset + x * c - y * s, offset + x * s + y * c) for x, y in strip]
         inst = make_inst(pts, 1.0)
-        steps = assert_same_as_serial(inst, seed=17, deterministic_start=deterministic_start)
+        steps = assert_same_as_serial(quarter_turn(inst, 1) if turned else inst)
         assert len(steps) > 50
         assert sum(1 for step in steps if removed_runs(step) >= 2) >= 5
 
     @pytest.mark.parametrize("offset", [0.0, 1e3, 1e6, 1e9])
-    @pytest.mark.parametrize("deterministic_start", [True, False])
-    def test_points_along_a_chord(self, offset, deterministic_start):
+    @pytest.mark.parametrize("turned", [False, True])
+    def test_points_along_a_chord(self, offset, turned):
         # Fifty points along the segment from A to B, beyond which a vertex
         # V bulges out, so the first hulls skip them.  Once a disk takes V,
         # the next hull is carried across a chord that runs along them, and
@@ -400,10 +405,10 @@ class TestSpiralMatchesSerial:
             shape = [(0.0, 0.0), (40.0, 28.0), (23.0, 8.0), (10.0, 40.0), (35.0, 45.0)]
             shape += [(40.0 * t, 28.0 * t) for t in np.sort(rng.random(50))]
             inst = make_inst([(offset + x, offset + y) for x, y in shape], 1.0)
-            assert_same_as_serial(inst, seed=seed, deterministic_start=deterministic_start)
+            assert_same_as_serial(quarter_turn(inst, 1) if turned else inst)
 
-    @pytest.mark.parametrize("deterministic_start", [True, False])
-    def test_hull_of_points_along_a_line_lists_each_once(self, deterministic_start):
+    @pytest.mark.parametrize("turned", [False, True])
+    def test_hull_of_points_along_a_line_lists_each_once(self, turned):
         # 200 points along the segment from (0, 0) to (40, 28).  With a float
         # orientation sign one step's hull listed a point twice, and
         # local_cover rejected the step's repeated candidate.
@@ -411,17 +416,19 @@ class TestSpiralMatchesSerial:
         shape = [(0.0, 0.0), (40.0, 28.0), (23.0, 8.0)]
         shape += [(40.0 * t, 28.0 * t) for t in np.sort(rng.random(200))]
         inst = make_inst(shape + [(10.0, 40.0), (35.0, 45.0)], 1.0)
-        steps = assert_same_as_serial(inst, seed=4, deterministic_start=deterministic_start)
+        if turned:
+            inst = quarter_turn(inst, 1)
+        steps = assert_same_as_serial(inst)
         assert all(len(set(step.boundary)) == len(step.boundary) for step in steps)
-        sol = solve_spiral(inst, seed=4, deterministic_start=deterministic_start)
-        assert not solution_violations(inst, sol)
+        assert not solution_violations(inst, solve_spiral(inst))
 
-    @pytest.mark.parametrize("deterministic_start", [True, False])
-    def test_boundary_points_refit_past_the_bound_at_an_offset(self, deterministic_start):
+    @pytest.mark.parametrize("turned", [False, True])
+    def test_boundary_points_refit_past_the_bound_at_an_offset(self, turned):
         # At a 1e9 offset one ulp is half of r.  The points the boundary
         # phase commits are covered from its center, yet their enclosing
         # disk solved afresh comes out wider than the coverage rule allows;
-        # a second local_cover that re-solved it rejected the seeded start.
+        # a second local_cover that re-solved it rejected the start at point
+        # 0, which the turned instance takes first.
         pts = [
             (1000000000.0, 2.384185791015625e-07),
             (1000000000.0000005, 9.5367431640625e-21),
@@ -429,8 +436,10 @@ class TestSpiralMatchesSerial:
             (1000000000.0000004, 1.1920928955078125e-07),
         ]
         inst = make_inst(pts, 2.384185791015625e-07)
-        assert_same_as_serial(inst, seed=1, deterministic_start=deterministic_start)
-        sol = solve_spiral(inst, seed=1, deterministic_start=deterministic_start)
+        if turned:
+            inst = quarter_turn(inst, 1)
+        assert_same_as_serial(inst)
+        sol = solve_spiral(inst)
         assert not solution_violations(inst, sol)
         assert sol.m >= min_cover(inst).m == 2
 
@@ -459,12 +468,12 @@ class TestSpiralMatchesSerial:
         assert [(step.k0, step.newly) for step in steps] == [(0, [0, 1, 2])]
 
 
-def assert_rings_are_hulls(inst, **kwargs):
+def assert_rings_are_hulls(inst):
     """Every step's hull is the serial hull of all uncovered points, listed
     from the same start vertex, however it was carried."""
     pts = inst.points
     uncovered = list(range(inst.k))
-    steps = list(spiral_steps(inst, **kwargs))
+    steps = list(spiral_steps(inst))
     for step in steps:
         hull = convex_hull_serial([pts[k] for k in uncovered])
         assert step.boundary == [uncovered[i] for i in hull]
@@ -516,21 +525,21 @@ class TestCarriedHull:
     def test_every_ring_is_the_hull(self, inst):
         assert_rings_are_hulls(inst)
 
-    @given(ring_cases(), st.integers(min_value=0, max_value=2**31))
+    @given(ring_cases(), st.integers(min_value=1, max_value=3))
     @settings(max_examples=60)
-    def test_every_ring_is_the_hull_from_a_seeded_start(self, inst, seed):
-        assert_rings_are_hulls(inst, seed=seed, deterministic_start=False)
+    def test_every_ring_is_the_hull_from_a_turned_start(self, inst, q):
+        assert_rings_are_hulls(quarter_turn(inst, q))
 
     @pytest.mark.parametrize("offset", [(0.0, 0.0), UTM])
-    @pytest.mark.parametrize("deterministic_start", [True, False])
-    def test_points_on_a_circle(self, offset, deterministic_start):
+    @pytest.mark.parametrize("turned", [False, True])
+    def test_points_on_a_circle(self, offset, turned):
         # Every point is a hull vertex, so each disk opens a chord over the
         # arc it covers, and each pocket holds the chord's ends alone.
         ox, oy = offset
         t = 2 * np.pi * np.arange(300) / 300
         xs, ys = (ox + 40.0 * np.cos(t)).tolist(), (oy + 40.0 * np.sin(t)).tolist()
         inst = make_inst(list(zip(xs, ys)), 1.0)
-        steps = assert_rings_are_hulls(inst, seed=3, deterministic_start=deterministic_start)
+        steps = assert_rings_are_hulls(quarter_turn(inst, 1) if turned else inst)
         assert len(steps[0].boundary) == inst.k
 
     @pytest.mark.parametrize("offset", [0.0, 1e9])
@@ -595,6 +604,17 @@ def cell_side(r):
     return 2.0 * coverage_bound(r) * (1.0 + 1e-12)
 
 
+def mirrored(inst):
+    """The instance reflected in the line y = x.
+
+    Unlike a quarter turn this keeps every coordinate's value, so points
+    built on the cells' edges stay on them, rows for columns.  The spiral
+    walks the reflected shape the other way round, from the original's
+    left-most (then bottom-most) hull vertex.
+    """
+    return make_inst([(y, x) for x, y in inst.points], inst.radius)
+
+
 def halved_side(inst):
     """The halved side of the cells the spiral builds for the instance."""
     pts = inst.points
@@ -607,8 +627,8 @@ class TestCellEdges:
     the loop over every uncovered point."""
 
     @pytest.mark.parametrize("offset", [0.0, 1e6])
-    @pytest.mark.parametrize("deterministic_start", [True, False])
-    def test_lattice_of_spacing_exactly_2_bounds(self, offset, deterministic_start):
+    @pytest.mark.parametrize("mirror", [False, True])
+    def test_lattice_of_spacing_exactly_2_bounds(self, offset, mirror):
         # Neighbours exactly twice the coverage bound apart, the lowest one
         # on a cell's lower edge; the cells are wider by 1e-12, so every
         # later point sits just below an edge.
@@ -617,10 +637,10 @@ class TestCellEdges:
         pts = [(offset + step * a, offset + step * b) for a in range(10) for b in range(10)]
         inst = make_inst(pts, r)
         assert halved_side(inst) == cell_side(r) / 2.0
-        assert_same_as_serial(inst, seed=3, deterministic_start=deterministic_start)
+        assert_same_as_serial(mirrored(inst) if mirror else inst)
 
-    @pytest.mark.parametrize("deterministic_start", [True, False])
-    def test_points_on_and_next_to_cell_edges(self, deterministic_start):
+    @pytest.mark.parametrize("mirror", [False, True])
+    def test_points_on_and_next_to_cell_edges(self, mirror):
         r = 1.0
         side = cell_side(r)
         edges = [side * i for i in range(8)]
@@ -634,10 +654,10 @@ class TestCellEdges:
         pts = [(float(rng.choice(coords)), float(rng.choice(coords))) for _ in range(150)]
         inst = make_inst([(0.0, 0.0), *pts], r)
         assert halved_side(inst) == side / 2.0
-        assert_same_as_serial(inst, seed=8, deterministic_start=deterministic_start)
+        assert_same_as_serial(mirrored(inst) if mirror else inst)
 
-    @pytest.mark.parametrize("deterministic_start", [True, False])
-    def test_lattice_on_cell_edges_where_floor_division_differs(self, deterministic_start):
+    @pytest.mark.parametrize("mirror", [False, True])
+    def test_lattice_on_cell_edges_where_floor_division_differs(self, mirror):
         # A lattice of spacing exactly the cell side, each point six times
         # over, so that the cells keep that side.  Its last column lies on
         # edge 17 as the cells compute it, yet Python's // floors the exact
@@ -651,39 +671,39 @@ class TestCellEdges:
         pts = [(side * a, side * b) for a in range(18) for b in range(3)]
         inst = make_inst(pts * 6, r)
         assert halved_side(inst) == side / 2.0
-        assert_same_as_serial(inst, seed=17, deterministic_start=deterministic_start)
+        assert_same_as_serial(mirrored(inst) if mirror else inst)
 
-    @pytest.mark.parametrize("deterministic_start", [True, False])
-    def test_cell_cap_at_a_huge_ratio(self, deterministic_start):
+    @pytest.mark.parametrize("mirror", [False, True])
+    def test_cell_cap_at_a_huge_ratio(self, mirror):
         # D/r = 1e6: cells of side 2r would number about 2.5e11, so the side
         # is the extent over ceil(sqrt(K)) instead.
         inst = generate_topology(50, 1.0, 6100, radius=1e-6)
         assert halved_side(inst) > 1e4 * cell_side(inst.radius)
-        steps = assert_same_as_serial(inst, seed=6100, deterministic_start=deterministic_start)
+        steps = assert_same_as_serial(mirrored(inst) if mirror else inst)
         assert len(steps) == 50
 
-    @pytest.mark.parametrize("deterministic_start", [True, False])
-    def test_utm_sized_offsets(self, deterministic_start):
+    @pytest.mark.parametrize("mirror", [False, True])
+    def test_utm_sized_offsets(self, mirror):
         # A 10 km square of 300 terminals at UTM coordinates, 500 m disks.
         base = generate_topology(300, 1.0, 6101, radius=1.0 / 20.0)
         pts = [(UTM[0] + 1e4 * x, UTM[1] + 1e4 * y) for x, y in base.points]
         inst = make_inst(pts, 500.0)
-        assert_same_as_serial(inst, seed=6101, deterministic_start=deterministic_start)
+        assert_same_as_serial(mirrored(inst) if mirror else inst)
 
-    @pytest.mark.parametrize("deterministic_start", [True, False])
-    def test_all_points_duplicate(self, deterministic_start):
+    @pytest.mark.parametrize("mirror", [False, True])
+    def test_all_points_duplicate(self, mirror):
         inst = make_inst([UTM] * 40, 2.0)
-        steps = assert_same_as_serial(inst, seed=5, deterministic_start=deterministic_start)
+        steps = assert_same_as_serial(mirrored(inst) if mirror else inst)
         assert [step.newly for step in steps] == [list(range(40))]
 
     @pytest.mark.parametrize("slope", [0.0, 0.37])
-    @pytest.mark.parametrize("deterministic_start", [True, False])
-    def test_a_straight_road(self, slope, deterministic_start):
+    @pytest.mark.parametrize("mirror", [False, True])
+    def test_a_straight_road(self, slope, mirror):
         # Terminals along a 60r road: one row of cells when it runs level.
         rng = np.random.Generator(np.random.PCG64(12))
         ts = (60.0 * rng.random(250)).tolist()
         inst = make_inst([(UTM[0] + t, UTM[1] + slope * t) for t in ts], 1.0)
-        assert_same_as_serial(inst, seed=12, deterministic_start=deterministic_start)
+        assert_same_as_serial(mirrored(inst) if mirror else inst)
 
 
 def assert_close_to_from_scratch(inst):
