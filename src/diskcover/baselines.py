@@ -55,10 +55,13 @@ def solve_strip(inst: Instance, seed: int = 0) -> Solution:
     at the first point that would take it past r.  Points in
     other strips are never considered by a disk, which is the strip scheme's
     defining restriction.  Fully deterministic; `seed` is only recorded.
+    Far from unit scale it solves in power-of-two units
+    (:meth:`Instance.in_power_of_two_units`).
     """
+    t0 = time.perf_counter()
+    inst, e = inst.in_power_of_two_units()
     r = inst.radius
     pts = inst.points
-    t0 = time.perf_counter()
 
     h = STRIP_HEIGHT_FACTOR * r
     bound = inst.bound
@@ -67,9 +70,10 @@ def solve_strip(inst: Instance, seed: int = 0) -> Solution:
     for k, p in enumerate(pts):
         # Halved, so the span cannot overflow.  Halving is exact above the
         # subnormals, so the quotient is the unhalved one wherever the span
-        # is finite and no halved value is subnormal.
-        s = int(math.floor((p[1] / 2.0 - min_y / 2.0) / (h / 2.0) + 0.5))
-        strips.setdefault(s, []).append(k)
+        # is finite and no halved value is subnormal.  Under a subnormal h
+        # the quotient can overflow: those points share the strip at inf.
+        s = (p[1] / 2.0 - min_y / 2.0) / (h / 2.0) + 0.5
+        strips.setdefault(math.floor(s) if s < math.inf else s, []).append(k)
 
     centers: list[Point] = []
     newly_all: list[list[int]] = []
@@ -106,7 +110,7 @@ def solve_strip(inst: Instance, seed: int = 0) -> Solution:
     return Solution(
         algorithm="strip",
         seed=seed,
-        centers=centers,
+        centers=[(math.ldexp(x, e), math.ldexp(y, e)) for x, y in centers],
         newly_covered=newly_all,
         runtime=time.perf_counter() - t0,
     )
@@ -137,26 +141,22 @@ _KMEANS_BLOCK_ELEMS = 81_920
 _KMEANS_ROW_TEMPS = 8
 
 
-def _sqdist(pts: np.ndarray, q: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
-    """Squared distances (m, n) from each of the m centers ``q`` (2, m) to
-    each point of ``pts`` (2, n), as dx*dx + dy*dy, written to ``out`` when
-    given."""
-    dx = np.subtract(pts[0], q[0][:, None], out=out)
+def _sqdist(
+    pts: np.ndarray,
+    c: np.ndarray,
+    out: Optional[np.ndarray] = None,
+    tmp: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """Squared distances (B, n, p) from each point of ``pts`` (2, n) to each
+    center of ``c`` (2, B, p), as dx*dx + dy*dy: entry (b, i, j) is point i's
+    to center j of row b, +inf for a center at +inf (padding).  Written to
+    ``out``, with dy in ``tmp``, when given."""
+    dx = np.subtract(pts[0][None, :, None], c[0][:, None, :], out=out)
     dx *= dx
-    dy = pts[1] - q[1][:, None]
+    dy = np.subtract(pts[1][None, :, None], c[1][:, None, :], out=tmp)
     dy *= dy
     dx += dy
     return dx
-
-
-def _fill_sqdist(out: np.ndarray, tmp: np.ndarray, pts: np.ndarray, c: np.ndarray) -> None:
-    # out[b, i, j] = squared distance from point i to center j of row b;
-    # centers at +inf (padding) give +inf.
-    np.subtract(pts[0][None, :, None], c[0][:, None, :], out=out)
-    np.multiply(out, out, out=out)
-    np.subtract(pts[1][None, :, None], c[1][:, None, :], out=tmp)
-    np.multiply(tmp, tmp, out=tmp)
-    np.add(out, tmp, out=out)
 
 
 def _seed_lockstep(
@@ -181,7 +181,7 @@ def _seed_lockstep(
             rng.random(out=u[b, : p - 1])
     c[:, :, 0] = pts[:, first]
     at = np.flatnonzero(ps > 1)  # rows still placing centers
-    d2 = _sqdist(pts, c[:, at, 0])
+    d2 = _sqdist(pts, c[:, at, :1])[..., 0]
     cum = np.empty_like(d2)
     for j in range(1, pm):
         keep = ps[at] > j
@@ -200,32 +200,28 @@ def _seed_lockstep(
         np.cumsum(cum, axis=1, out=cum)
         chosen = pts[:, np.minimum((cum <= u[at, j - 1 : j]).sum(axis=1), n - 1)]
         c[:, at, j] = chosen
-        np.minimum(d2, _sqdist(pts, chosen, cum), out=d2)
+        np.minimum(d2, _sqdist(pts, chosen[..., None], cum[..., None])[..., 0], out=d2)
     return c
 
 
 def _batch_lockstep(
-    pts: np.ndarray,
-    c: np.ndarray,
-    real: np.ndarray,
-    buf: np.ndarray,
-    tmp_buf: np.ndarray,
-) -> np.ndarray:
+    pts: np.ndarray, labels: np.ndarray, c: np.ndarray, buf: np.ndarray, tmp_buf: np.ndarray
+) -> None:
     """Batch passes per row until its labels repeat, at most KMEANS_MAX_ITERS.
 
-    Updates the centers in place and returns the labels (B, n).  A row whose
-    labels repeat is written back and dropped from the working set.
+    Updates the centers and the labels (B, n) in place; padding centers stay
+    at +inf.  A row whose labels repeat is written back and dropped from the
+    working set.
     """
     _, b_rows, pm = c.shape
     n = pts.shape[1]
     tiled = np.tile(pts, b_rows)
-    labels = np.zeros((b_rows, n), dtype=np.intp)
     at = np.arange(b_rows)  # working row -> row
-    lab, wc, wreal = labels, c, real
+    lab, wc = labels, c
     for it in range(KMEANS_MAX_ITERS):
         k = len(at)
-        dist2 = buf[: k * n * pm].reshape(k, n, pm)
-        _fill_sqdist(dist2, tmp_buf[: k * n * pm].reshape(k, n, pm), pts, wc)
+        elems = k * n * pm
+        dist2 = _sqdist(pts, wc, buf[:elems].reshape(k, n, pm), tmp_buf[:elems].reshape(k, n, pm))
         new_labels = dist2.argmin(axis=2)
         if it > 0:
             moving = (new_labels != lab).any(axis=1)
@@ -233,8 +229,8 @@ def _batch_lockstep(
                 labels[at], c[:, at] = lab, wc
                 keep = np.flatnonzero(moving)
                 if keep.size == 0:
-                    return labels
-                at, new_labels, wc, wreal = at[keep], new_labels[keep], wc[:, keep], wreal[keep]
+                    return
+                at, new_labels, wc = at[keep], new_labels[keep], wc[:, keep]
                 k = keep.size
         lab = new_labels
         g = (lab + (np.arange(k) * pm)[:, None]).ravel()
@@ -243,7 +239,7 @@ def _batch_lockstep(
         for axis in (0, 1):
             sums = np.bincount(g, weights=tiled[axis, : k * n], minlength=k * pm)
             wc[axis][used] = sums.reshape(k, pm)[used] / counts[used]
-        empty = wreal & ~used
+        empty = ~used & (wc[0] < np.inf)
         for b in np.flatnonzero(empty.any(axis=1)):
             # Re-seed each empty cluster on the point farthest from its
             # assigned center, then let the next pass reassign.
@@ -255,14 +251,12 @@ def _batch_lockstep(
                 wc[:, b, j] = pts[:, far]
                 own[far] = 0.0
     labels[at], c[:, at] = lab, wc
-    return labels
 
 
 def _refine_lockstep(
     pts: np.ndarray,
     labels: np.ndarray,
     c: np.ndarray,
-    pad: np.ndarray,
     buf: np.ndarray,
     tmp_buf: np.ndarray,
     r: float,
@@ -273,8 +267,9 @@ def _refine_lockstep(
     Sizes reweight the change: a point joining a cluster of n costs n/(n+1)
     of its squared distance, leaving refunds n/(n-1).  This escapes the
     plateaus batch passes converge to.  Updates `labels` in place (the
-    centers are left stale).  Once half the working rows have stopped, their
-    labels are written back and the rows dropped.
+    centers are left stale; padding centers, at +inf, are never joined).
+    Once half the working rows have stopped, their labels are written back
+    and the rows dropped.
     """
     _, b_rows, pm = c.shape
     n = pts.shape[1]
@@ -282,14 +277,11 @@ def _refine_lockstep(
     offsets = (np.arange(b_rows) * pm)[:, None]
     counts = np.bincount((labels + offsets).ravel(), minlength=b_rows * pm).astype(float)
     counts = counts.reshape(b_rows, pm)
-    _fill_sqdist(
-        buf[: b_rows * row_size].reshape(b_rows, n, pm),
-        tmp_buf[: b_rows * row_size].reshape(b_rows, n, pm),
-        pts,
-        c,
-    )
+    elems = b_rows * row_size
+    _sqdist(pts, c, buf[:elems].reshape(b_rows, n, pm), tmp_buf[:elems].reshape(b_rows, n, pm))
     at = np.arange(b_rows)  # working row -> row
-    lab, cnt, wc, wpad = labels, counts, c, pad
+    lab, cnt, wc = labels, counts, c
+    wpad = np.where(c[0] < np.inf, 0.0, np.inf)
     active = np.ones(b_rows, dtype=bool)
     k = 0  # working-set size the views below were built for
     for _ in range(3 * n):
@@ -341,7 +333,7 @@ def _refine_lockstep(
         wc_flat[:, flat_cols] = (size * wc_flat[:, flat_cols] + sign * moved) / (size + sign)
         cnt_flat[flat_cols] = size + sign
         lab[mv, i] = dst
-        dist2[rows, :, cols] = _sqdist(pts, wc_flat[:, flat_cols])
+        dist2[rows, :, cols] = _sqdist(pts, wc_flat[:, flat_cols, None])[..., 0]
     labels[at] = lab
 
 
@@ -381,13 +373,9 @@ def _lloyd_lockstep(
             and (stop - start + 1) * n * (ps[stop] + _KMEANS_ROW_TEMPS) <= _KMEANS_BLOCK_ELEMS
         ):
             stop += 1
-        rows, bp = stop - start, int(ps[stop - 1])
-        c = np.ascontiguousarray(seeds[:, start:stop, :bp])
-        real = np.arange(bp)[None, :] < ps[start:stop, None]
-        lab = labels[start:stop]
-        lab[:] = _batch_lockstep(pts, c, real, buf, tmp_buf)
-        pad = np.where(real, 0.0, np.inf)
-        _refine_lockstep(pts, lab, c, pad, buf, tmp_buf, r)
+        c = np.ascontiguousarray(seeds[:, start:stop, : ps[stop - 1]])
+        _batch_lockstep(pts, labels[start:stop], c, buf, tmp_buf)
+        _refine_lockstep(pts, labels[start:stop], c, buf, tmp_buf, r)
         start = stop
 
     # Feasibility over per-cluster bounding boxes, every row's at once.  Half
@@ -424,7 +412,8 @@ def solve_kmeans(inst: Instance, seed: int = 0, cfg: Optional[TrialConfig] = Non
     refinement) at each probed p and is feasible when every non-empty cluster
     fits in a radius-r disk; empty clusters are dropped, so a trial's disk
     count may come in under p.  Final centers are each cluster's
-    smallest-enclosing-disk center.
+    smallest-enclosing-disk center.  Far from unit scale it solves in
+    power-of-two units (:meth:`Instance.in_power_of_two_units`).
 
     Trial t draws from PCG64(seed + t).  All trials bisect in lockstep over
     four arrays: each trial's open range ``lo``..``hi`` of counts, whether
@@ -437,8 +426,9 @@ def solve_kmeans(inst: Instance, seed: int = 0, cfg: Optional[TrialConfig] = Non
     trials one after another.
     """
     cfg = cfg or TrialConfig()
-    pts = inst.points
     t0 = time.perf_counter()
+    inst, e = inst.in_power_of_two_units()
+    pts = inst.points
     # Distinct positions by set, not np.unique, which imports numpy.ma (about
     # 1.2 MB resident) on first use.
     n, n_distinct = inst.k, len(set(pts))
@@ -479,8 +469,8 @@ def solve_kmeans(inst: Instance, seed: int = 0, cfg: Optional[TrialConfig] = Non
     newly_all: list[list[int]] = []
     for j in np.flatnonzero(np.bincount(best)):
         members = np.flatnonzero(best == j).tolist()
-        mec = one_center([pts[k] for k in members])
-        centers.append(mec.center)
+        x, y = one_center([pts[k] for k in members]).center
+        centers.append((math.ldexp(x, e), math.ldexp(y, e)))
         newly_all.append(members)
 
     return Solution(

@@ -141,7 +141,11 @@ def _pair_centers(xy: np.ndarray, r: float, pair_bound: float) -> np.ndarray:
         firsts.append(i + s)
         seconds.append(j)
     pi, pj = xy[np.concatenate(firsts)], xy[np.concatenate(seconds)]
-    ux, uy = ((pj - pi) / r).T
+    # Where ``pair_bound`` overflowed to inf, a pair's difference near the
+    # float limit can overflow too.  Its d is then inf and h2 -inf, so it
+    # gives its midpoint alone; a NaN offset below is never taken.
+    with np.errstate(over="ignore"):
+        ux, uy = ((pj - pi) / r).T
     d2 = ux * ux + uy * uy
     # A pair closer than about 1e-154 * r counts as coincident; the slack
     # already covers its partner.
@@ -152,8 +156,8 @@ def _pair_centers(xy: np.ndarray, r: float, pair_bound: float) -> np.ndarray:
     two = h2 > 0.0
     h = np.sqrt(np.where(two, h2, 0.0)) * r
     mx, my = xi / 2.0 + xj / 2.0, yi / 2.0 + yj / 2.0
-    nx, ny = -uy / d * h, ux / d * h
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
+        nx, ny = -uy / d * h, ux / d * h
         both = np.stack(
             [np.where(two, mx + nx, mx), np.where(two, my + ny, my), mx - nx, my - ny], axis=1
         ).reshape(-1, 2)

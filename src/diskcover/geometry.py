@@ -75,19 +75,25 @@ def within_mask(xy: np.ndarray, center: Union[Point, np.ndarray], limit: float) 
     """
     given = np.asarray(center, dtype=float)
     cs = given.reshape(-1, 2)
-    dx, dy = xy[:, 0] - cs[:, :1], xy[:, 1] - cs[:, 1:]
     lim = limit * limit
-    if limit > 0.0 and _SQUARE_MIN <= lim < _SQUARE_MAX:
-        with np.errstate(over="ignore"):  # an overflowed square is inf: outside
+    # Near the float limit a difference or a square can overflow to inf,
+    # which is outside, and so can the limit itself (twice a bound near it),
+    # which puts every entry inside; inf - inf is then NaN, outside the band,
+    # and the comparison's answer stands.  Each errs towards "outside", or
+    # towards a pair that the caller decides again against a finite bound.
+    with np.errstate(over="ignore", invalid="ignore"):
+        dx, dy = xy[:, 0] - cs[:, :1], xy[:, 1] - cs[:, 1:]
+        if limit > 0.0 and _SQUARE_MIN <= lim < _SQUARE_MAX:
             dx *= dx
             dy *= dy
             dx += dy
-        d, width = dx, lim * 1e-10
-    else:
-        d, lim, width = np.hypot(dx, dy), limit, limit * 1e-6
-    mask = d <= lim
-    d -= lim
-    for f in np.flatnonzero(np.abs(d, out=d) <= width).tolist():
+            d, width = dx, lim * 1e-10
+        else:
+            d, lim, width = np.hypot(dx, dy), limit, limit * 1e-6
+        mask = d <= lim
+        d -= lim
+        band = np.flatnonzero(np.abs(d, out=d) <= width).tolist()
+    for f in band:
         j, i = divmod(f, len(xy))
         mask[j, i] = dist(cs[j].tolist(), xy[i].tolist()) <= limit
     return mask if given.ndim == 2 else mask[0]

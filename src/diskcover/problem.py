@@ -60,6 +60,25 @@ class Instance:
     def with_radius(self, radius: float) -> "Instance":
         return Instance(points=self.points, radius=radius, region_side=self.region_side)
 
+    def in_power_of_two_units(self) -> tuple["Instance", int]:
+        """This instance scaled by ``2**-e``, and e, where e is the binary
+        exponent of the largest |coordinate|, when |e| > 100 and the scaling
+        is exact (every coordinate and the radius survive the round trip);
+        otherwise the instance itself and 0.
+
+        ``one_center`` and ``grow_disk`` give wrong disks far from unit scale,
+        so the heuristics built on them solve in these units and scale their
+        centers back with ``math.ldexp(c, e)``.  Instances inside the band,
+        UTM-sized coordinates among them, are solved as given.
+        """
+        e = math.frexp(float(np.abs(self.xy).max()))[1]
+        if abs(e) <= 100 or math.frexp(self.radius)[1] - e > 1024:  # radius overflows
+            return self, 0
+        xy, radius = np.ldexp(self.xy, -e), math.ldexp(self.radius, -e)
+        if math.ldexp(radius, e) != self.radius or not np.array_equal(np.ldexp(xy, e), self.xy):
+            return self, 0
+        return Instance(points=xy, radius=radius), e
+
 
 @dataclass
 class Solution:

@@ -428,7 +428,11 @@ def spiral_steps(inst: Instance) -> Iterator[SpiralStep]:
       exact largest distance to the points it holds, so such a point is
       within twice the bound of k0 up to a few units in the last place,
       far inside the widening; rounding can put it just past twice the bound.
+
+    Far from unit scale the steps are worked out in power-of-two units
+    (:meth:`Instance.in_power_of_two_units`), and each center is scaled back.
     """
+    inst, e = inst.in_power_of_two_units()
     pts = inst.points
     xy = inst.xy
     bound = inst.bound
@@ -473,7 +477,7 @@ def spiral_steps(inst: Instance) -> Iterator[SpiralStep]:
             boundary=boundary,
             newly_boundary=list(first.covered),
             newly=newly,
-            center=center,
+            center=(math.ldexp(cx, e), math.ldexp(cy, e)),
         )
 
 

@@ -263,13 +263,19 @@ class TestScaleInvariance:
     def test_counts_equal_the_unscaled_counts(self, scale):
         assert self.changed_counts(scale, ALGORITHMS) == []
 
+    EXTREMES = [1e-300, 1e-160, 1e-120, 1e120, 1e160, 1e300]
+
+    @pytest.mark.parametrize("scale", EXTREMES)
+    def test_oracle_and_random_counts_hold_at_the_float_extremes(self, scale):
+        assert self.changed_counts(scale, ("oracle", "random")) == []
+
     # k-means and the spiral solve disks with one_center, and the spiral and
     # the strip grow them with grow_disk.  Both run on the kernel
     # _mec_two_known, whose disk is wrong at these scales (test_geometry
-    # pins it).
-    @pytest.mark.parametrize("scale", [1e-300, 1e-160, 1e160, 1e300])
-    def test_oracle_and_random_counts_hold_at_the_float_extremes(self, scale):
-        assert self.changed_counts(scale, ("oracle", "random")) == []
+    # pins it), so these three solve in power-of-two units past 2**+-100.
+    @pytest.mark.parametrize("scale", EXTREMES)
+    def test_spiral_strip_and_kmeans_counts_hold_at_the_float_extremes(self, scale):
+        assert self.changed_counts(scale, ("spiral", "strip", "kmeans")) == []
 
     @pytest.mark.parametrize("name", ALGORITHMS)
     def test_points_three_radii_apart_take_two_disks(self, name):

@@ -48,6 +48,72 @@ def test_solvers_read_tuples_and_arrays_alike(name):
     assert got[0] == got[1]
 
 
+class TestPowerOfTwoUnits:
+    @pytest.mark.parametrize(
+        "inst",
+        [
+            Instance([(0.0, 0.0), (1.0, 0.0)], 1.0),
+            Instance([(5e5, 4.2e6), (5e5 + 1.0, 4.2e6)], 0.5),  # UTM-sized
+            Instance([(0.75 * 2.0**100, 0.0)], 1e-30),  # exponent 100
+            Instance([(0.0, -(2.0**-101))], 1e30),  # exponent -100
+            Instance([(0.0, 0.0)], 1e300),
+        ],
+    )
+    def test_inside_the_band_an_instance_is_its_own_units(self, inst):
+        same, e = inst.in_power_of_two_units()
+        assert same is inst and e == 0
+
+    @pytest.mark.parametrize(
+        "inst, want_e",
+        [
+            (Instance([(2.0**100, 0.0)], 1.0), 101),
+            (Instance([(0.0, -(2.0**-102))], 1e-20), -101),
+            (Instance([(3e120, -1e119), (0.0, 5e118)], 7e119), 401),
+            (Instance([(1e-300, 0.0), (-2e-300, 3e-301)], 1e-300), -995),
+            (Instance([(1e308, 1e308), (-1e308, -1e308)], 1.0), 1024),  # radius 2**-1024
+        ],
+    )
+    def test_outside_it_the_scaling_is_exact(self, inst, want_e):
+        scaled, e = inst.in_power_of_two_units()
+        assert e == want_e
+        assert 0.5 <= float(np.abs(scaled.xy).max()) < 1.0
+        assert np.array_equal(np.ldexp(scaled.xy, e), inst.xy)
+        assert math.ldexp(scaled.radius, e) == inst.radius
+
+    @pytest.mark.parametrize(
+        "inst",
+        [
+            Instance([(1e300, 0.0), (1e-300, 0.0)], 1e300),  # a coordinate underflows
+            Instance([(1e200, 0.0)], 5e-324),  # the radius underflows
+            Instance([(1e-200, 0.0)], 1e200),  # the radius overflows
+            Instance([(1e308, 0.0)], 1.1),  # the radius loses bits
+        ],
+    )
+    def test_an_inexact_scaling_is_not_made(self, inst):
+        same, e = inst.in_power_of_two_units()
+        assert same is inst and e == 0
+
+
+# At the ends of the float range: the strip's index overflowed under a
+# subnormal radius, and random and the oracle overflowed in their
+# differences and in a pair limit of inf; pyproject turns the warnings into
+# errors.
+FLOAT_LIMITS = {
+    "radius-1e-310": Instance([(0, 0), (0, 1), (1, 0.5)], 1e-310),
+    "radius-5e-324": Instance([(0, 0), (0, 1), (1, 0.5)], 5e-324),
+    "spread-2e308": Instance([(1e308, 0)] * 3 + [(-1e308, 0)] * 2, 1.0),
+    "radius-1.7e308": Instance([(1.7e308, 0), (-1.7e308, 0)], 1.7e308),
+}
+
+
+@pytest.mark.parametrize("name", SOLVERS)
+@pytest.mark.parametrize("key", FLOAT_LIMITS)
+def test_every_solver_covers_instances_at_the_float_limits(key, name):
+    inst = FLOAT_LIMITS[key]
+    sol = SOLVERS[name](inst, 0, TrialConfig(trials=5))
+    assert not solution_violations(inst, sol)
+
+
 # Two points one radius apart: a disk at their midpoint covers both.
 PAIR = Instance([(0.0, 0.0), (1.0, 0.0)], radius=1.0)
 MID = (0.5, 0.0)
