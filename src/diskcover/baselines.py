@@ -451,7 +451,12 @@ def solve_kmeans(inst: Instance, seed: int = 0, cfg: Optional[TrialConfig] = Non
         # Similar counts share a block, so little of it is padding.
         order = np.argsort(mid, kind="stable")
         live, mid = live[order], mid[order]
-        labels, feasible = _lloyd_lockstep(inst, mid, [rngs[t] for t in live], buf, tmp_buf)
+        # Where in_power_of_two_units declined to scale, squared distances
+        # and box extents can overflow to inf and their differences to NaN.
+        # That can only mislabel a probe or fail its box test; the exact
+        # one_center check still decides feasibility.
+        with np.errstate(over="ignore", invalid="ignore"):
+            labels, feasible = _lloyd_lockstep(inst, mid, [rngs[t] for t in live], buf, tmp_buf)
         hit = live[feasible]
         best[hit], hi[hit], found[hit] = labels[feasible], mid[feasible], True
         lo[live[~feasible]] = mid[~feasible] + 1

@@ -179,28 +179,9 @@ def _contained(test: np.ndarray, kept_not: np.ndarray) -> np.ndarray:
 
 
 def min_cover(inst: Instance, node_limit: int = DEFAULT_NODE_LIMIT) -> Solution:
-    """Provably minimum number of radius-r disks covering every point.
-
-    Branch and bound over the candidate disks, seeded with a greedy
-    incumbent: branch on an uncovered point with the fewest covering
-    candidates, trying them in order of new coverage.  Each node is bounded
-    first by packing: take the lowest uncovered point, drop every point some
-    candidate covers together with it (its neighbours), and repeat; no
-    candidate covers two taken points, so their count is a lower bound.
-    Where that does not prune, the same packing takes the uncovered point
-    with the fewest neighbours first, ties by index, which tends to take
-    more (the min-degree rule for independent sets); the points are
-    relabelled once in that order, so it walks the lowest bits as the first
-    does.  Only when neither prunes is the counting bound
-    ceil(uncovered / best-remaining-coverage) tested, as a threshold: with
-    ``need`` disks short of tying the incumbent (at least 2 there, as the
-    packings took a point), it prunes unless some candidate covers at least
-    ceil(uncovered / (need - 1)) uncovered points.  Candidates are scanned
-    largest first, so the scan stops at the first that does or the first
-    too small to.  The bound in force is the largest of the three and each
-    is valid, so the search tree is a subtree of the counting bound's alone,
-    visited in the same order with the same incumbent updates: the cover is
-    the one that search returns, in no more nodes.
+    """Provably minimum number of radius-r disks covering every point: the
+    candidates of :func:`generate_candidates`, then :func:`_search` over
+    their coverages.
 
     Raises :class:`BudgetExceededError` once more than ``node_limit`` search
     nodes are expanded, giving the incumbent and the larger packing of all
@@ -211,22 +192,8 @@ def min_cover(inst: Instance, node_limit: int = DEFAULT_NODE_LIMIT) -> Solution:
     t0 = time.perf_counter()
     cands = generate_candidates(inst)
     masks = [c.coverage for c in cands]
-    k_total = inst.k
-    full = (1 << k_total) - 1
-    coverers, nbr, pmasks, pnbr = _incidence(masks, k_total)
+    best_sel = _search(masks, inst.k, node_limit)
 
-    # Greedy incumbent; every chosen disk covers something new, so the
-    # recorded order yields non-empty per-disk assignments.
-    best_sel: list[int] = []
-    covered = 0
-    while covered != full:
-        pick = max(range(len(masks)), key=lambda i: ((masks[i] & ~covered).bit_count(), -i))
-        best_sel.append(pick)
-        covered |= masks[pick]
-
-    best_sel = _search(masks, pmasks, coverers, nbr, pnbr, full, best_sel, node_limit)
-
-    centers: list[Point] = [cands[i].center for i in best_sel]
     newly_all: list[list[int]] = []
     assigned = 0
     for i in best_sel:
@@ -236,7 +203,7 @@ def min_cover(inst: Instance, node_limit: int = DEFAULT_NODE_LIMIT) -> Solution:
     return Solution(
         algorithm="oracle",
         seed=0,
-        centers=centers,
+        centers=[cands[i].center for i in best_sel],
         newly_covered=newly_all,
         runtime=time.perf_counter() - t0,
     )
@@ -294,20 +261,46 @@ def _reaches(sized: list[tuple[int, int]], rem_mask: int, least: int) -> bool:
     return False
 
 
-def _search(
-    masks: list[int],
-    pmasks: list[int],
-    coverers: list[list[int]],
-    nbr: list[int],
-    pnbr: list[int],
-    full: int,
-    best_sel: list[int],
-    node_limit: int,
-) -> list[int]:
-    """Depth-first branch and bound from the incumbent ``best_sel``; returns
-    the smallest selection found.  ``pmasks`` and ``pnbr`` are ``masks`` and
-    ``nbr`` relabelled by :func:`_incidence`.  Iterative, so no state
-    outlives the call."""
+def _search(masks: list[int], k_total: int, node_limit: int) -> list[int]:
+    """A smallest selection of ``masks`` covering all ``k_total`` points, as
+    indices in the order chosen; each chosen mask covers some point the ones
+    before it do not.
+
+    Depth-first branch and bound, seeded with a greedy incumbent: branch on
+    an uncovered point with the fewest covering candidates, trying them in
+    order of new coverage.  Each node is bounded first by packing: take the
+    lowest uncovered point, drop every point some candidate covers together
+    with it (its neighbours), and repeat; no candidate covers two taken
+    points, so their count is a lower bound.  Where that does not prune, the
+    same packing takes the uncovered point with the fewest neighbours first,
+    ties by index, which tends to take more (the min-degree rule for
+    independent sets); the points are relabelled once in that order by
+    :func:`_incidence`, so it walks the lowest bits as the first does.  Only
+    when neither prunes is the counting bound
+    ceil(uncovered / best-remaining-coverage) tested, as a threshold: with
+    ``need`` disks short of tying the incumbent (at least 2 there, as the
+    packings took a point), it prunes unless some candidate covers at least
+    ceil(uncovered / (need - 1)) uncovered points.  Candidates are scanned
+    largest first, so the scan stops at the first that does or the first
+    too small to.  The bound in force is the largest of the three and each
+    is valid, so the search tree is a subtree of the counting bound's alone,
+    visited in the same order with the same incumbent updates: the cover is
+    the one that search returns, in no more nodes.
+
+    Raises :class:`BudgetExceededError` once more than ``node_limit`` nodes
+    are expanded.  Iterative, so no state outlives the call.
+    """
+    full = (1 << k_total) - 1
+    coverers, nbr, pmasks, pnbr = _incidence(masks, k_total)
+    # The greedy incumbent.  Its coverage is not kept in ``covered``: a
+    # variable the key's lambda closes over becomes a cell, slower to read
+    # and write in the search loop below.
+    best_sel: list[int] = []
+    greedy = 0
+    while greedy != full:
+        pick = max(range(len(masks)), key=lambda i: ((masks[i] & ~greedy).bit_count(), -i))
+        best_sel.append(pick)
+        greedy |= masks[pick]
     best_m = len(best_sel)
     # The masks by descending size, for _reaches' early exit.
     sized = sorted(((m.bit_count(), m) for m in masks), reverse=True)

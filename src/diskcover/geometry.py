@@ -235,8 +235,9 @@ _Circle = tuple[float, float, float]
 
 
 def _diameter_disk(px: float, py: float, qx: float, qy: float) -> _Circle:
-    cx = (px + qx) / 2.0
-    cy = (py + qy) / 2.0
+    # Summed halves, so the midpoint stays finite near the float limit.
+    cx = px / 2.0 + qx / 2.0
+    cy = py / 2.0 + qy / 2.0
     d1, d2 = math.hypot(cx - px, cy - py), math.hypot(cx - qx, cy - qy)
     return cx, cy, d2 if d2 > d1 else d1
 

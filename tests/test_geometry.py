@@ -352,6 +352,12 @@ class TestOneCenter:
         pts = uniform_points(40, seed=5)
         assert one_center(pts) == one_center(pts)
 
+    def test_pair_at_the_float_limit(self):
+        # The coordinates' sum overflows; their halves' does not.
+        want = Disk((1.7e308, 0.5), 0.5)
+        assert one_center([(1.7e308, 0.0), (1.7e308, 1.0)]) == want
+        assert grow_disk(Disk((1.7e308, 0.0), 0.0), [1.7e308, 1.7e308], [0.0, 1.0]) == want
+
     @given(point_lists(min_size=1, max_size=12))
     def test_contains_all_points_exactly(self, pts):
         disk = one_center(pts)

@@ -95,14 +95,17 @@ class TestPowerOfTwoUnits:
 
 
 # At the ends of the float range: the strip's index overflowed under a
-# subnormal radius, and random and the oracle overflowed in their
-# differences and in a pair limit of inf; pyproject turns the warnings into
-# errors.
+# subnormal radius, random and the oracle overflowed in their differences
+# and in a pair limit of inf, and k-means overflowed in its unscaled
+# distances and placed a pair's disk at an overflowed midpoint; pyproject
+# turns the warnings into errors.
 FLOAT_LIMITS = {
     "radius-1e-310": Instance([(0, 0), (0, 1), (1, 0.5)], 1e-310),
     "radius-5e-324": Instance([(0, 0), (0, 1), (1, 0.5)], 5e-324),
     "spread-2e308": Instance([(1e308, 0)] * 3 + [(-1e308, 0)] * 2, 1.0),
     "radius-1.7e308": Instance([(1.7e308, 0), (-1.7e308, 0)], 1.7e308),
+    "column-1.7e308": Instance([(1.7e308, 0), (1.7e308, 1), (1.7e308, 2.5), (0, 1.1)], 1e300),
+    "spread-3.4e308": Instance([(1.7e308, 0), (-1.7e308, 0), (0, 1.1)], 1.0),
 }
 
 
