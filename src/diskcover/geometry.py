@@ -235,9 +235,9 @@ _Circle = tuple[float, float, float]
 
 
 def _diameter_disk(px: float, py: float, qx: float, qy: float) -> _Circle:
-    # Summed halves, so the midpoint stays finite near the float limit.
-    cx = px / 2.0 + qx / 2.0
-    cy = py / 2.0 + qy / 2.0
+    # Halve first only where the sum overflows; elsewhere that rounds subnormals.
+    cx = (px + qx) / 2.0 if math.isfinite(px + qx) else px / 2.0 + qx / 2.0
+    cy = (py + qy) / 2.0 if math.isfinite(py + qy) else py / 2.0 + qy / 2.0
     d1, d2 = math.hypot(cx - px, cy - py), math.hypot(cx - qx, cy - qy)
     return cx, cy, d2 if d2 > d1 else d1
 
